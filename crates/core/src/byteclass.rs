@@ -10,6 +10,12 @@
 
 use std::fmt;
 
+/// Width of the chunked lookup-table passes ([`find_next_interesting`],
+/// [`AlphabetPartition::classify_into`]): sixteen table loads per
+/// fixed-trip-count inner loop, which LLVM unrolls and vectorises. The
+/// skip scanner also uses it as the length of its stale-table probe.
+pub(crate) const CHUNK: usize = 16;
+
 /// A set of bytes, represented as a 256-bit bitmap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ByteClass {
@@ -336,8 +342,7 @@ pub fn find_next_interesting(doc: &[u8], from: usize, interest: &InterestMask) -
     // A 64-byte outer stride of four independent 16-byte accumulators: the
     // four OR chains have no dependencies between them, so the loop keeps
     // multiple loads in flight per cycle (and vectorises where the target
-    // supports it). 16 stays the LUT-chunk granularity of the position scan.
-    const CHUNK: usize = 16;
+    // supports it). `CHUNK` stays the LUT granularity of the position scan.
     const STRIDE: usize = 4 * CHUNK;
     let start = from.min(doc.len());
     let lut = &interest.lut;
@@ -467,7 +472,6 @@ impl AlphabetPartition {
     /// ([`ClassRuns`]) is what lets the evaluation engines work per class run
     /// instead of per byte.
     pub fn classify_into(&self, bytes: &[u8], out: &mut Vec<u8>) {
-        const CHUNK: usize = 16;
         out.clear();
         out.resize(bytes.len(), 0);
         let lut = &self.class_of;
@@ -507,10 +511,10 @@ impl AlphabetPartition {
     /// in `skippable`. Writes into the caller-provided `out` so the hot loop
     /// performs no allocation (an `InterestMask` is a flat inline table).
     ///
-    /// The scanning engines rebuild this only when the active set's
-    /// intersected [`ClassMask`] changes — dense regions that churn the
-    /// active set every byte never pay for it, because the rebuild is
-    /// deferred until a skippable position is actually reached.
+    /// The scanning engines rebuild this only when a skip outlasts a short
+    /// probe under a [`ClassMask`] the table was not built from: short skips
+    /// between churning active sets test the mask directly instead (see the
+    /// skip scanner in `det.rs`).
     pub fn interest_mask_into(&self, skippable: &ClassMask, out: &mut InterestMask) {
         let mut interesting = ByteClass::empty();
         for cls in 0..self.num_classes {

@@ -411,7 +411,9 @@ impl<C: Counter> CountCache<C> {
                 // invalidation protocol is shared via `SkipScanner`): jump
                 // straight to the next interesting byte — same skip
                 // decisions as the class-run loop, per-interesting-byte cost
-                // model.
+                // model. Short skips under a fresh mask probe one chunk
+                // against the mask; only longer ones rebuild the interest
+                // table and bulk-scan.
                 let bytes = doc.bytes();
                 self.scanner.reset();
                 let mut i = 0usize;

@@ -10,7 +10,7 @@
 //! * `Capturing(i)` needs `Markers_δ(q)` together with the target of each
 //!   marker set — provided as a per-state slice of `(MarkerSet, target)` pairs.
 
-use crate::byteclass::{find_next_interesting, AlphabetPartition, ClassMask, InterestMask};
+use crate::byteclass::{find_next_interesting, AlphabetPartition, ClassMask, InterestMask, CHUNK};
 use crate::document::Document;
 use crate::error::SpannerError;
 use crate::eva::{Eva, StateId};
@@ -492,8 +492,9 @@ impl Stepper for &DetSeva {
 ///   matches), one slice compare revalidates the mask instead of a rebuild;
 ///   sound because every bit is a memoized fact about those states that
 ///   survives until eviction, and eviction resets everything;
-/// * the **byte-level interest table**, rebuilt only when the mask actually
-///   changed since it was last expanded.
+/// * the **byte-level interest table**, rebuilt only when a skip under a
+///   mask it was not expanded from outlasts a one-chunk probe (see
+///   [`SkipScanner::next_interesting`]).
 ///
 /// The skip decision is deliberately byte-for-byte the class-run engine's:
 /// a byte is skipped either because its class is already in the mask (which,
@@ -566,10 +567,21 @@ impl SkipScanner {
         true
     }
 
-    /// Bulk-scans to the next byte the current mask cannot skip, rebuilding
-    /// the byte-level interest table first if the mask changed since its
-    /// last expansion. Call only after [`SkipScanner::should_skip`] returned
-    /// `true` at the current position.
+    /// Finds the next position at or after `from` whose byte the current
+    /// mask cannot skip (`None` when the rest of `bytes` is skippable). Call
+    /// only after [`SkipScanner::should_skip`] returned `true` at the
+    /// current position.
+    ///
+    /// Probe, then rebuild: when the interest table was expanded from the
+    /// current mask, this bulk-scans at once. Otherwise it first tests at
+    /// most one scanner chunk ([`CHUNK`] bytes) against the mask directly,
+    /// and only a stretch that outlasts the probe pays for expanding the
+    /// table and hands the rest to the bulk scanner. In the dense regime the
+    /// active set (and with it the mask) changes between nearly every pair
+    /// of skips and most skips are a few bytes long, so rebuilding the
+    /// 256-entry table per skip would cost more than the bytes it skips.
+    /// Both paths stop at the same byte: a byte is interesting exactly when
+    /// its class is not in the mask.
     #[inline]
     pub(crate) fn next_interesting(
         &mut self,
@@ -577,7 +589,18 @@ impl SkipScanner {
         bytes: &[u8],
         from: usize,
     ) -> Option<usize> {
+        let mut from = from.min(bytes.len());
         if self.interest_src != Some(self.mask) {
+            let probe_end = bytes.len().min(from + CHUNK);
+            let probe = &bytes[from..probe_end];
+            if let Some(j) = probe.iter().position(|&b| !self.mask.contains(partition.class_of(b)))
+            {
+                return Some(from + j);
+            }
+            if probe_end == bytes.len() {
+                return None;
+            }
+            from = probe_end;
             partition.interest_mask_into(&self.mask, &mut self.interest);
             self.interest_src = Some(self.mask);
         }
@@ -833,6 +856,164 @@ mod tests {
         }
         det.classify_document(&Document::empty(), &mut buf);
         assert!(buf.is_empty());
+    }
+
+    /// A five-class partition: digits, letters, spaces, `@`/`.`, the rest.
+    fn scan_partition() -> AlphabetPartition {
+        AlphabetPartition::from_classes([
+            &ByteClass::ascii_digits(),
+            &ByteClass::ascii_alpha(),
+            &ByteClass::ascii_space(),
+            &ByteClass::from_bytes(b"@."),
+        ])
+    }
+
+    /// The table-driven reference: a freshly derived interest table and the
+    /// bulk scanner.
+    fn fresh_scan(
+        p: &AlphabetPartition,
+        mask: &ClassMask,
+        bytes: &[u8],
+        from: usize,
+    ) -> Option<usize> {
+        let mut interest = InterestMask::default();
+        p.interest_mask_into(mask, &mut interest);
+        find_next_interesting(bytes, from, &interest)
+    }
+
+    fn mask_of(p: &AlphabetPartition, bytes: &[u8]) -> ClassMask {
+        let mut mask = ClassMask::empty();
+        for &b in bytes {
+            mask.insert(p.class_of(b));
+        }
+        mask
+    }
+
+    /// A scanner whose interest table is stale (never expanded) and whose
+    /// current mask is `mask`.
+    fn stale_scanner(mask: ClassMask) -> SkipScanner {
+        SkipScanner { mask, ..SkipScanner::default() }
+    }
+
+    #[test]
+    fn next_interesting_matches_a_fresh_table_at_every_jump_length() {
+        let p = scan_partition();
+        let mask = mask_of(&p, b"a ");
+        for jump in [0usize, 1, 15, 16, 17, 31, 32, 33, 40, 41, 64, 65, 100] {
+            // An interesting byte, `jump` skippable bytes, an interesting byte.
+            let mut doc = vec![b'7'];
+            doc.extend(b"ab cd".iter().cycle().take(jump));
+            doc.extend_from_slice(b"@zz");
+            let expected = fresh_scan(&p, &mask, &doc, 1);
+            assert_eq!(expected, Some(1 + jump), "jump {jump}");
+            let mut scanner = stale_scanner(mask);
+            assert_eq!(scanner.next_interesting(&p, &doc, 1), expected, "stale table, jump {jump}");
+            // Only a stretch that outlasts the one-chunk probe builds the table.
+            assert_eq!(scanner.interest_src.is_some(), jump >= CHUNK, "rebuild, jump {jump}");
+            // Again with whatever table the first call left behind.
+            assert_eq!(scanner.next_interesting(&p, &doc, 1), expected, "second call, jump {jump}");
+        }
+    }
+
+    #[test]
+    fn next_interesting_reports_a_skippable_tail() {
+        let p = scan_partition();
+        let mask = mask_of(&p, b"a ");
+        for tail in [0usize, 1, 15, 16, 17, 40] {
+            let mut doc = vec![b'7'];
+            doc.extend(b"ab cd".iter().cycle().take(tail));
+            let mut scanner = stale_scanner(mask);
+            assert_eq!(scanner.next_interesting(&p, &doc, 1), None, "tail {tail}");
+            // A tail that ends inside the probe window never builds the table.
+            assert_eq!(scanner.interest_src.is_some(), tail > CHUNK, "rebuild, tail {tail}");
+            assert_eq!(scanner.next_interesting(&p, &doc, 1), None, "second call, tail {tail}");
+            // `from` at or past the end is tolerated.
+            assert_eq!(scanner.next_interesting(&p, &doc, doc.len()), None);
+            assert_eq!(scanner.next_interesting(&p, &doc, doc.len() + 3), None);
+        }
+    }
+
+    #[test]
+    fn next_interesting_never_scans_with_a_stale_table() {
+        let p = scan_partition();
+        // 40 letters, a digit, 40 spaces, an `@`, 40 digits.
+        let mut doc = vec![b'q'; 40];
+        doc.push(b'7');
+        doc.extend([b' '; 40]);
+        doc.push(b'@');
+        doc.extend([b'5'; 40]);
+        let letters = mask_of(&p, b"q");
+        let letters_digits = mask_of(&p, b"q7");
+        let all_but_at = mask_of(&p, b"q7 ");
+        let mut scanner = SkipScanner::default();
+        // Each step changes the mask. The comments name the table the call
+        // finds and what scanning with it would have returned.
+        for (mask, from, expected) in [
+            (letters, 0, Some(40)),           // none yet; builds `letters`
+            (letters_digits, 0, Some(41)),    // `letters`: 40
+            (letters, 0, Some(40)),           // `letters_digits`: 41
+            (all_but_at, 0, Some(81)),        // `letters`: 40
+            (ClassMask::empty(), 5, Some(5)), // `all_but_at`: 81; probe only
+            (letters, 35, Some(40)),          // `all_but_at`: 81; probe only
+            (letters_digits, 82, None),       // `all_but_at`; builds `letters_digits`
+            (all_but_at, 30, Some(81)),       // `letters_digits`: 41
+            (ClassMask::all(), 0, None),      // `all_but_at`: 81
+        ] {
+            scanner.mask = mask;
+            assert_eq!(scanner.next_interesting(&p, &doc, from), expected, "from {from}");
+            assert_eq!(fresh_scan(&p, &mask, &doc, from), expected, "reference, from {from}");
+        }
+    }
+
+    #[test]
+    fn next_interesting_matches_a_fresh_table_on_random_documents() {
+        let p = scan_partition();
+        let classes = p.num_classes();
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % bound
+        };
+        // One scanner across every case, so each call may find the table of
+        // an earlier, different mask.
+        let mut scanner = SkipScanner::default();
+        for case in 0..3_000 {
+            // Keep the mask a third of the time: the table-is-current path.
+            if case == 0 || next(3) != 0 {
+                scanner.mask = ClassMask::empty();
+                for cls in 0..classes {
+                    if next(2) == 0 {
+                        scanner.mask.insert(cls);
+                    }
+                }
+            }
+            let mask = scanner.mask;
+            let pick = |cls: usize, r: usize| {
+                let members = p.class_members(cls);
+                members.iter().nth(r % members.len()).unwrap()
+            };
+            let skippable: Vec<usize> = (0..classes).filter(|&c| mask.contains(c)).collect();
+            let interesting: Vec<usize> = (0..classes).filter(|&c| !mask.contains(c)).collect();
+            // Skippable stretches of 0..=45 bytes between interesting bytes.
+            let mut doc = Vec::new();
+            for _ in 0..next(5) {
+                if !skippable.is_empty() {
+                    for _ in 0..next(46) {
+                        doc.push(pick(skippable[next(skippable.len())], next(256)));
+                    }
+                }
+                if !interesting.is_empty() && next(4) != 0 {
+                    doc.push(pick(interesting[next(interesting.len())], next(256)));
+                }
+            }
+            let from = next(doc.len() + 2);
+            assert_eq!(
+                scanner.next_interesting(&p, &doc, from),
+                fresh_scan(&p, &mask, &doc, from),
+                "case {case}, from {from}, |doc| = {}",
+                doc.len()
+            );
+        }
     }
 
     #[test]

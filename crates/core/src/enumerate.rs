@@ -199,12 +199,12 @@ impl DagStore {
 pub enum EngineMode {
     /// Skip-mask scanning — the default. The active set's skippable classes
     /// are maintained as one intersected [`crate::ClassMask`] (one AND per
-    /// surviving state, recomputed only when the active set changes), the
-    /// mask is expanded into a byte-level [`crate::InterestMask`], and the
-    /// loop jumps straight to the next *interesting* byte with the chunked
-    /// [`crate::find_next_interesting`] scanner — no `ClassRuns`
-    /// materialization, no per-run predicate test, no per-byte work on
-    /// skippable stretches.
+    /// surviving state, recomputed only when the active set changes), and
+    /// the loop jumps straight to the next *interesting* byte — no
+    /// `ClassRuns` materialization, no per-run predicate test. A skip first
+    /// probes up to 16 bytes against the mask; a longer stretch expands the
+    /// mask into a byte-level [`crate::InterestMask`] and finishes with the
+    /// chunked [`crate::find_next_interesting`] scanner.
     /// Skip decisions are byte-for-byte the class-run engine's (the mask
     /// under-approximates with exactly the memoized skip entries), so
     /// outputs are identical; only the scanning cost model changes from
@@ -829,9 +829,11 @@ impl Evaluator {
     /// predicate test per live state, then the `Capturing`/`Reading`
     /// phases); per *skippable* stretch it costs a chunked LUT scan —
     /// `find_next_interesting` — regardless of how many class runs the
-    /// stretch spans. The mask is rebuilt only when the active set changes,
-    /// and the byte-level interest table only when a skip actually happens,
-    /// so dense regions never pay for either.
+    /// stretch spans. The mask is rebuilt only when the active set changes.
+    /// The byte-level interest table is rebuilt only when a skip under a new
+    /// mask outlasts a one-chunk probe, so the short skips between churning
+    /// active sets of dense regions test the mask directly instead
+    /// ([`SkipScanner::next_interesting`]).
     ///
     /// Skip decisions are identical to the class-run engine's: a byte is
     /// skipped either because its class is in the mask — which, by the

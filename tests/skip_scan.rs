@@ -6,8 +6,10 @@
 //! densities from 0% to 100%, documents aligned (and misaligned) with the
 //! scanner's 16-byte chunks, empty documents, lazily determinized automata
 //! (cold, warm, and under mid-document eviction that wipes the memoized skip
-//! masks with their states), frozen snapshots, and parallel batch runs at
-//! 1/2/8 threads.
+//! masks with their states), frozen snapshots, parallel batch runs at
+//! 1/2/8 threads, and the dense regime of contact extraction, where skips are
+//! a few bytes long and the active set changes between nearly every pair of
+//! them (the scanner's probe-then-rebuild rule).
 //!
 //! Enumeration-order contract, pinned below: **SkipScan ≡ ClassRuns byte for
 //! byte, always** — the scanner's mask under-approximates with exactly the
@@ -69,6 +71,71 @@ fn chunk_boundary_docs() -> Vec<Document> {
         docs.push(Document::new(vec![b'7'; len]));
     }
     docs
+}
+
+/// The dense regime: contact directories from 1 kB to 64 kB, plus a built
+/// family whose skippable stretches run 1–40 bytes.
+fn dense_docs() -> Vec<Document> {
+    let mut docs: Vec<Document> = [1usize << 10, 4 << 10, 16 << 10, 64 << 10]
+        .iter()
+        .enumerate()
+        .map(|(i, &bytes)| w::contact_directory(0xD0C + i as u64, bytes / 20).0)
+        .collect();
+    docs.push(short_skip_directory());
+    docs
+}
+
+/// Entries of the built family in [`short_skip_directory`].
+const SHORT_SKIP_ENTRIES: usize = 120;
+
+/// Contact entries preceded by filler stretches of every length from 40
+/// down to 1 byte, with e-mail users and phone numbers of 1 to 40 bytes, so
+/// skips fall short of, on and past the scanner's 16-byte probe window. The
+/// document opens with a long skip under the wide mask of the filler, and
+/// long skips inside a capture (where fewer classes are skippable) follow:
+/// an interest table kept from the filler would skip the closing `y`.
+/// Neither filler nor contacts contain an upper-case letter, `x` or `y`, so
+/// the spanner extracts exactly one mapping per entry.
+fn short_skip_directory() -> Document {
+    const FILLER: &[u8] = b"ab c.d9-e,f 0g";
+    const USER: &[u8] = b"abcdefgh.w";
+    const PHONE: &[u8] = b"0123456789-";
+    let mut text = Vec::new();
+    for entry in 0..SHORT_SKIP_ENTRIES {
+        let len = 40 - entry % 40;
+        let inner = entry * 17 % 40 + 1;
+        text.extend((0..len).map(|k| FILLER[(entry * 7 + k) % FILLER.len()]));
+        text.extend_from_slice(b"Ada x");
+        if entry % 3 == 0 {
+            text.extend((0..inner).map(|k| PHONE[(entry + k) % PHONE.len()]));
+        } else {
+            text.extend((0..inner).map(|k| USER[(entry + k) % USER.len()]));
+            text.extend_from_slice(b"@uc.cl");
+        }
+        text.push(b'y');
+    }
+    Document::new(text)
+}
+
+/// The contact spanner as an undeterminized eVA for the lazy engine.
+fn contact_lazy() -> LazyDetSeva {
+    let ast = parse(w::contact_pattern()).unwrap();
+    let eva = va_to_eva(&regex_to_va(&ast).unwrap()).unwrap();
+    LazyDetSeva::new(&eva, LazyConfig::default()).unwrap()
+}
+
+/// Asserts that the three modes' results for one document agree exactly:
+/// mappings in order, counts, and the arena cells of the two skipping
+/// engines, which must skip exactly the same positions.
+fn assert_dense_row(runs: [(Vec<Mapping>, usize, u128); 3], ctx: &str) {
+    let [(scan, scan_cells, scan_count), (class, class_cells, class_count), (bytes, _, bytes_count)] =
+        runs;
+    assert_eq!(scan, class, "mappings/order SkipScan vs ClassRuns, {ctx}");
+    assert_eq!(scan, bytes, "mappings/order SkipScan vs PerByte, {ctx}");
+    assert_eq!(scan_cells, class_cells, "num_cells SkipScan vs ClassRuns, {ctx}");
+    assert_eq!(scan_count, class_count, "count SkipScan vs ClassRuns, {ctx}");
+    assert_eq!(scan_count, bytes_count, "count SkipScan vs PerByte, {ctx}");
+    assert_eq!(scan_count, scan.len() as u128, "count vs mappings, {ctx}");
 }
 
 /// Evaluates `doc` under all three engine modes and asserts exact
@@ -155,6 +222,71 @@ fn chunk_boundaries_and_families_are_identical_across_modes() {
         for (i, doc) in docs.iter().enumerate() {
             assert_eager_modes_identical(&spanner, doc, &format!("{pattern}, doc {i}"));
         }
+    }
+}
+
+/// The dense row: on contact directories and the 1–40-byte-skip family, all
+/// three modes agree in order, in counts and (for the two skipping engines)
+/// in DAG cells on the eager, warm-lazy and frozen backends.
+#[test]
+fn dense_regime_is_identical_across_modes_and_backends() {
+    const MODES: [EngineMode; 3] =
+        [EngineMode::SkipScan, EngineMode::ClassRuns, EngineMode::PerByte];
+    let docs = dense_docs();
+    let eager = compile(w::contact_pattern()).unwrap();
+    let aut = eager.try_automaton().expect("eager engine");
+    let family = docs.last().unwrap();
+    assert_eq!(
+        CountCache::<u128>::new().count(aut, family).unwrap(),
+        SHORT_SKIP_ENTRIES as u128,
+        "one mapping per entry of the built family"
+    );
+
+    let mut evals = MODES.map(Evaluator::with_mode);
+    let mut counts = MODES.map(CountCache::<u128>::with_mode);
+    for (i, doc) in docs.iter().enumerate() {
+        let row = [0, 1, 2].map(|m| {
+            let view = evals[m].eval(aut, doc);
+            let cells = view.num_cells();
+            (view.collect_mappings(), cells, counts[m].count(aut, doc).unwrap())
+        });
+        assert_dense_row(row, &format!("eager, dense doc {i}"));
+    }
+
+    // Warm lazy: one embedded cache per mode, warmed over the whole set
+    // before anything is compared.
+    let lazy = contact_lazy();
+    let mut evals = MODES.map(Evaluator::with_mode);
+    let mut counts = MODES.map(CountCache::<u128>::with_mode);
+    for doc in &docs {
+        for m in 0..3 {
+            let _ = evals[m].eval_lazy(&lazy, doc).num_nodes();
+            let _ = counts[m].count_lazy(&lazy, doc).unwrap();
+        }
+    }
+    for (i, doc) in docs.iter().enumerate() {
+        let row = [0, 1, 2].map(|m| {
+            let view = evals[m].eval_lazy(&lazy, doc);
+            let cells = view.num_cells();
+            (view.collect_mappings(), cells, counts[m].count_lazy(&lazy, doc).unwrap())
+        });
+        assert_dense_row(row, &format!("warm lazy, dense doc {i}"));
+    }
+
+    // Frozen: a snapshot warmed on the smallest directory, so the larger
+    // documents extend it through each worker's private delta.
+    let spanner = CompiledSpanner::from_lazy(contact_lazy());
+    let lazy = spanner.lazy_automaton().expect("lazy engine");
+    let frozen = spanner.freeze_warm(&docs[..1]).expect("lazy freezes");
+    let mut evals = MODES.map(Evaluator::with_mode);
+    let mut counts = MODES.map(CountCache::<u128>::with_mode);
+    for (i, doc) in docs.iter().enumerate() {
+        let row = [0, 1, 2].map(|m| {
+            let view = evals[m].eval_frozen(lazy, &frozen, doc);
+            let cells = view.num_cells();
+            (view.collect_mappings(), cells, counts[m].count_frozen(lazy, &frozen, doc).unwrap())
+        });
+        assert_dense_row(row, &format!("frozen, dense doc {i}"));
     }
 }
 
