@@ -398,6 +398,15 @@ pub trait Stepper {
     /// intern states.
     fn skip_mask(&mut self, q: StateId) -> ClassMask;
 
+    /// Whether a capture into `q` right before a byte of class `cls` is dead
+    /// (`q` has no letter transition on `cls`), so the skipping loops need not
+    /// make it. A pure read. Only the eager implementation answers; the default
+    /// `false` keeps lazy and frozen DAGs independent of how warm the cache is.
+    #[inline]
+    fn capture_dies(&self, _q: StateId, _cls: usize) -> bool {
+        false
+    }
+
     /// Whether the implementation wants a [`Stepper::maintain`] call at the
     /// next safe point (i.e. its cache exceeded the configured budget).
     /// Engines check this once per executed document position.
@@ -475,6 +484,11 @@ impl Stepper for &DetSeva {
     #[inline]
     fn skip_mask(&mut self, q: StateId) -> ClassMask {
         DetSeva::skip_mask(self, q)
+    }
+
+    #[inline]
+    fn capture_dies(&self, q: StateId, cls: usize) -> bool {
+        DetSeva::step_class(self, q, cls).is_none()
     }
 }
 

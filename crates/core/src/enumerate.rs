@@ -36,7 +36,12 @@
 //! almost nothing; the byte-at-a-time loop remains available as
 //! [`EngineMode::PerByte`] and for traced runs.
 //!
-//! The evaluation state (node/cell arenas, list vectors, active sets) lives in
+//! On the eager backend the skipping loops also drop *dead captures* into a
+//! state with no letter transition on the next byte ([`Stepper::capture_dies`]),
+//! whose lists the next `Reading` phase would wipe. Each node is its own list
+//! cell, so the DAG lives in one arena.
+//!
+//! The evaluation state (node arena, list vectors, active sets) lives in
 //! a reusable [`Evaluator`], so a long-running service evaluating one compiled
 //! spanner over millions of documents performs **no allocation after
 //! warm-up** — each [`Evaluator::eval`] call recycles the previous document's
@@ -61,71 +66,57 @@ use crate::span::Span;
 use crate::sparse::SparseSet;
 use crate::variable::{VarRegistry, MAX_VARIABLES};
 
-/// Index of a node in the DAG arena. Node 0 is the sink `⊥`.
+/// Index of a node (and of its list cell) in the DAG arena. Node 0 is the sink `⊥`.
 type NodeId = u32;
-/// Index of a list cell in the cell arena.
-type CellId = u32;
 
 const BOTTOM: NodeId = 0;
+/// The null id: the `next` of a list's last cell and the head of an empty list.
+const NIL: NodeId = u32::MAX;
 
-/// Converts an arena length into the id of the element about to be pushed,
-/// with a loud debug check instead of a silent wraparound: a document/automaton
-/// pair pathological enough to create more than `u32::MAX` nodes or cells
-/// would otherwise corrupt the DAG.
+/// Converts the arena length into the id of the node about to be pushed. The
+/// check is on in release builds: a wrapped id would alias [`NIL`] (end of
+/// list) or an existing node and silently corrupt the DAG.
 #[inline]
-fn next_arena_id(len: usize, what: &str) -> u32 {
-    debug_assert!(
-        len <= u32::MAX as usize,
-        "{what} arena overflow: {len} elements exceed the u32 id space"
-    );
-    len as u32
+fn next_arena_id(len: usize) -> NodeId {
+    assert!(len < NIL as usize, "DAG node arena overflow: {len} nodes exceed the u32 id space");
+    len as NodeId
 }
 
 /// A singly linked list of DAG nodes, represented as the `(start, end)` pair of
 /// pointers described in the paper. Cheap to copy (`lazycopy` is a bitwise copy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ListRef {
-    head: CellId,
-    tail: CellId,
-    /// Empty lists are encoded by `len == 0`; `head`/`tail` are then
-    /// meaningless. Saturates at `u32::MAX` — it is a hint for diagnostics
-    /// (`StageTrace`), not load-bearing state.
-    len_hint: u32,
+    head: NodeId,
+    tail: NodeId,
 }
 
 impl ListRef {
-    const EMPTY: ListRef = ListRef { head: 0, tail: 0, len_hint: 0 };
+    const EMPTY: ListRef = ListRef { head: NIL, tail: NIL };
 
     #[inline]
     fn is_empty(&self) -> bool {
-        self.len_hint == 0
+        self.head == NIL
     }
 }
 
-/// One cell of a linked list: a node reference plus the `next` pointer.
-/// `next` is written at most once (by `append`), as in the paper.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    node: NodeId,
-    next: Option<CellId>,
-}
-
 /// A DAG node `((S, i), list)`: an annotated marker set plus the list of nodes
-/// it points to (the last variable transitions of the runs it extends).
+/// it points to (the last variable transitions of the runs it extends). A node
+/// enters one list when created, so it is also that list's cell: `next` is
+/// written at most once (by `append`), as in the paper.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     markers: MarkerSet,
     pos: u32,
     list: ListRef,
+    next: NodeId,
 }
 
-/// The arena-backed DAG produced by Algorithm 1: nodes, list cells and the
-/// root lists of the final states. Shared by the owned [`EnumerationDag`] and
-/// the borrowed [`DagView`] an [`Evaluator`] hands out.
+/// The arena-backed DAG produced by Algorithm 1: nodes (each also a list
+/// cell) and the root lists of the final states. Shared by the owned
+/// [`EnumerationDag`] and the borrowed [`DagView`] an [`Evaluator`] hands out.
 #[derive(Debug, Clone, Default)]
 struct DagStore {
     nodes: Vec<Node>,
-    cells: Vec<Cell>,
     /// Lists of the final states after the last `Capturing` phase
     /// (the entry points of Algorithm 2), in increasing state order.
     roots: Vec<ListRef>,
@@ -154,8 +145,7 @@ impl DagStore {
 
     fn count_list(&self, list: ListRef, memo: &mut Vec<Option<u128>>) -> u128 {
         let mut sum = 0u128;
-        for cell in self.list_cells(list) {
-            let node = self.cells[cell as usize].node;
+        for node in self.list_cells(list) {
             sum += self.count_node(node, memo);
         }
         sum
@@ -174,11 +164,7 @@ impl DagStore {
     /// Iterates over the cell ids of a list, honouring the `(start, end)` bounds
     /// (cells appended after `end` by later `append` operations are not visible).
     fn list_cells(&self, list: ListRef) -> ListCellIter<'_> {
-        ListCellIter {
-            store: self,
-            cur: if list.is_empty() { None } else { Some(list.head) },
-            tail: list.tail,
-        }
+        ListCellIter { store: self, cur: list.head, tail: list.tail }
     }
 }
 
@@ -189,12 +175,14 @@ impl DagStore {
 /// counts, the same root lists (and, for a fixed automaton state space, the
 /// same enumeration order — see `tests/skip_scan.rs` for the one caveat
 /// around mid-document eviction of lazily determinized automata). The
-/// run-skipping modes may allocate *fewer* DAG nodes/cells, because the
-/// per-byte walk also materializes capture attempts that the very next
-/// `Reading` phase provably kills (they are unreachable from every root);
-/// the skipping loops elide those positions wholesale. Diagnostic arena
-/// sizes (`num_nodes`, `num_cells`) are therefore comparable only within
-/// one mode.
+/// run-skipping modes may allocate *fewer* DAG nodes, because the per-byte
+/// walk also materializes capture attempts that the very next `Reading`
+/// phase provably kills (they are unreachable from every root); the
+/// skipping loops elide those positions wholesale and, on the eager backend
+/// only, each capture into a state with no letter transition on the next
+/// byte ([`Stepper::capture_dies`]; never in the final `Capturing(|d|)`).
+/// Diagnostic arena sizes (`num_nodes`, `num_cells`) are therefore
+/// comparable only within one mode and backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Skip-mask scanning — the default. The active set's skippable classes
@@ -227,7 +215,7 @@ pub enum EngineMode {
 /// The reusable evaluation engine behind Algorithm 1.
 ///
 /// An `Evaluator` owns every piece of mutable state the `Evaluate` loop needs:
-/// the DAG node/cell arenas, the per-state list vectors, and the sparse
+/// the DAG node arena, the per-state list vectors, and the sparse
 /// active-state sets. Calling [`Evaluator::eval`] runs Algorithm 1 and returns
 /// a [`DagView`] borrowing the arenas; the next `eval` call reuses all of the
 /// retained capacity, so in steady state (same automaton, comparable document
@@ -646,9 +634,9 @@ impl Evaluator {
         self.store.nodes.capacity()
     }
 
-    /// Current capacity of the cell arena.
+    /// Current capacity of the cell arena: the node arena (a node is its own cell).
     pub fn cell_capacity(&self) -> usize {
-        self.store.cells.capacity()
+        self.store.nodes.capacity()
     }
 
     /// Current capacity of the byte-class buffer (diagnostics: like the
@@ -694,7 +682,6 @@ impl Evaluator {
         // may discover states past `n_states` mid-document; `ensure_state`
         // grows the per-state storage on demand.
         self.store.nodes.clear();
-        self.store.cells.clear();
         self.store.roots.clear();
         self.lists.clear();
         self.lists.resize(n_states, ListRef::EMPTY);
@@ -703,13 +690,13 @@ impl Evaluator {
         self.active.reset(n_states);
         self.next_active.reset(n_states);
 
-        // Node 0 is the sink ⊥; its markers/list are never read.
-        self.store.nodes.push(Node { markers: MarkerSet::new(), pos: 0, list: ListRef::EMPTY });
+        // Node 0 is the sink ⊥; only its cell (`next`) is ever read.
+        let sink = Node { markers: MarkerSet::new(), pos: 0, list: ListRef::EMPTY, next: NIL };
+        self.store.nodes.push(sink);
         // list_q for every state q: initially empty except list_{q0} = [⊥].
-        self.store.cells.push(Cell { node: BOTTOM, next: None });
         let init = aut.start_state();
         self.ensure_state(init);
-        self.lists[init] = ListRef { head: 0, tail: 0, len_hint: 1 };
+        self.lists[init] = ListRef { head: BOTTOM, tail: BOTTOM };
         self.active.insert(init);
 
         if self.mode == EngineMode::PerByte || trace.is_some() {
@@ -749,9 +736,9 @@ impl Evaluator {
         for i in 0..=bytes.len() {
             self.checker.tick()?;
             self.maintenance_point(aut)?;
-            self.capture_phase(aut, i);
+            self.capture_phase(aut, i, None);
             if let Some(t) = trace.as_deref_mut() {
-                t.push(StageTrace::capture(i, &self.lists));
+                t.push(StageTrace::capture(i, &self.store, &self.lists));
             }
             if i == bytes.len() {
                 break;
@@ -759,7 +746,7 @@ impl Evaluator {
             let cls = aut.byte_class(bytes[i]);
             self.read_phase(aut, cls);
             if let Some(t) = trace.as_deref_mut() {
-                t.push(StageTrace::read(i, &self.lists));
+                t.push(StageTrace::read(i, &self.store, &self.lists));
             }
         }
         Ok(())
@@ -810,13 +797,13 @@ impl Evaluator {
                     break;
                 }
                 self.checker.tick()?;
-                self.capture_phase(aut, i);
+                self.capture_phase(aut, i, Some(cls));
                 self.read_phase(aut, cls);
                 i += 1;
             }
         }
         self.maintenance_point(aut)?;
-        self.capture_phase(aut, doc.len());
+        self.capture_phase(aut, doc.len(), None);
         Ok(())
     }
 
@@ -872,7 +859,7 @@ impl Evaluator {
                 continue;
             }
             self.checker.tick()?;
-            self.capture_phase(aut, i);
+            self.capture_phase(aut, i, Some(cls));
             self.read_phase(aut, cls);
             self.scanner.executed();
             i += 1;
@@ -883,7 +870,7 @@ impl Evaluator {
             }
         }
         self.maintenance_point(aut)?;
-        self.capture_phase(aut, doc.len());
+        self.capture_phase(aut, doc.len(), None);
         Ok(())
     }
 
@@ -948,8 +935,10 @@ impl Evaluator {
     /// `Capturing(i)`: the extended variable transitions taken immediately
     /// before letter `i`. Lazycopies the lists of the phase-start active
     /// states (the paper's lazy copy of every list; inactive lists are EMPTY).
+    /// With `next_cls`, the class of letter `i`, captures the next `Reading`
+    /// phase would wipe are not made ([`Stepper::capture_dies`]).
     #[inline]
-    fn capture_phase<S: Stepper>(&mut self, aut: &mut S, i: usize) {
+    fn capture_phase<S: Stepper>(&mut self, aut: &mut S, i: usize, next_cls: Option<usize>) {
         let live = self.active.len();
         for idx in 0..live {
             let q = self.active.get(idx);
@@ -961,25 +950,24 @@ impl Evaluator {
                 continue;
             }
             let src = self.old[q];
-            for &(markers, p) in aut.markers_from(q) {
-                self.ensure_state(p);
-                let node_id = next_arena_id(self.store.nodes.len(), "DAG node");
-                self.store.nodes.push(Node { markers, pos: i as u32, list: src });
-                // list_p.add(node): prepend a fresh cell.
-                let cell_id = next_arena_id(self.store.cells.len(), "list cell");
-                if self.active.insert(p) {
-                    // p had an empty list: start it.
-                    self.store.cells.push(Cell { node: node_id, next: None });
-                    self.lists[p] = ListRef { head: cell_id, tail: cell_id, len_hint: 1 };
-                } else {
-                    let cur = self.lists[p];
-                    self.store.cells.push(Cell { node: node_id, next: Some(cur.head) });
-                    self.lists[p] = ListRef {
-                        head: cell_id,
-                        tail: cur.tail,
-                        len_hint: cur.len_hint.saturating_add(1),
-                    };
+            // Indexed, so `capture_dies` can read `aut` between transitions.
+            let mut k = 0;
+            while let Some(&(markers, p)) = aut.markers_from(q).get(k) {
+                k += 1;
+                if next_cls.is_some_and(|cls| aut.capture_dies(p, cls)) {
+                    continue;
                 }
+                self.ensure_state(p);
+                let id = next_arena_id(self.store.nodes.len());
+                // list_p.add(node): the node is the fresh cell, prepended.
+                let next = if self.active.insert(p) {
+                    // p had an empty list: start it.
+                    self.lists[p] = ListRef { head: id, tail: id };
+                    NIL
+                } else {
+                    std::mem::replace(&mut self.lists[p].head, id)
+                };
+                self.store.nodes.push(Node { markers, pos: i as u32, list: src, next });
             }
         }
     }
@@ -1004,18 +992,11 @@ impl Evaluator {
                 if self.next_active.insert(p) {
                     self.lists[p] = src;
                 } else {
-                    let cur = self.lists[p];
-                    let tail = cur.tail as usize;
-                    debug_assert!(
-                        self.store.cells[tail].next.is_none(),
-                        "append target must end in null"
-                    );
-                    self.store.cells[tail].next = Some(src.head);
-                    self.lists[p] = ListRef {
-                        head: cur.head,
-                        tail: src.tail,
-                        len_hint: cur.len_hint.saturating_add(src.len_hint),
-                    };
+                    let cur = &mut self.lists[p];
+                    let tail = &mut self.store.nodes[cur.tail as usize].next;
+                    debug_assert_eq!(*tail, NIL, "append target must end in null");
+                    *tail = src.head;
+                    cur.tail = src.tail;
                 }
             }
         }
@@ -1051,9 +1032,9 @@ impl<'a> DagView<'a> {
         self.store.nodes.len()
     }
 
-    /// Number of list cells created.
+    /// Number of list cells created: `num_nodes`, as a node is its own cell.
     pub fn num_cells(&self) -> usize {
-        self.store.cells.len()
+        self.store.nodes.len()
     }
 
     /// Number of root lists (non-empty final-state lists).
@@ -1141,9 +1122,9 @@ impl EnumerationDag {
         self.store.nodes.len()
     }
 
-    /// Number of list cells created.
+    /// Number of list cells created: `num_nodes`, as a node is its own cell.
     pub fn num_cells(&self) -> usize {
-        self.store.cells.len()
+        self.store.nodes.len()
     }
 
     /// Number of root lists (non-empty final-state lists).
@@ -1192,15 +1173,15 @@ impl EnumerationDag {
 
 struct ListCellIter<'a> {
     store: &'a DagStore,
-    cur: Option<CellId>,
-    tail: CellId,
+    cur: NodeId,
+    tail: NodeId,
 }
 
 impl Iterator for ListCellIter<'_> {
-    type Item = CellId;
-    fn next(&mut self) -> Option<CellId> {
-        let cur = self.cur?;
-        self.cur = if cur == self.tail { None } else { self.store.cells[cur as usize].next };
+    type Item = NodeId;
+    fn next(&mut self) -> Option<NodeId> {
+        let cur = Some(self.cur).filter(|&c| c != NIL)?;
+        self.cur = if cur == self.tail { NIL } else { self.store.nodes[cur as usize].next };
         Some(cur)
     }
 }
@@ -1227,18 +1208,19 @@ pub enum Stage {
 }
 
 impl StageTrace {
-    fn capture(pos: usize, lists: &[ListRef]) -> StageTrace {
-        StageTrace { stage: Stage::Capturing, pos, nonempty: Self::snapshot(lists) }
+    fn capture(pos: usize, store: &DagStore, lists: &[ListRef]) -> StageTrace {
+        StageTrace { stage: Stage::Capturing, pos, nonempty: Self::snapshot(store, lists) }
     }
-    fn read(pos: usize, lists: &[ListRef]) -> StageTrace {
-        StageTrace { stage: Stage::Reading, pos, nonempty: Self::snapshot(lists) }
+    fn read(pos: usize, store: &DagStore, lists: &[ListRef]) -> StageTrace {
+        StageTrace { stage: Stage::Reading, pos, nonempty: Self::snapshot(store, lists) }
     }
-    fn snapshot(lists: &[ListRef]) -> Vec<(usize, usize)> {
+    /// Counts each list's cells by walking it (traced runs only).
+    fn snapshot(store: &DagStore, lists: &[ListRef]) -> Vec<(usize, usize)> {
         lists
             .iter()
             .enumerate()
             .filter(|(_, l)| !l.is_empty())
-            .map(|(q, l)| (q, l.len_hint as usize))
+            .map(|(q, l)| (q, store.list_cells(*l).count()))
             .collect()
     }
 }
@@ -1246,10 +1228,10 @@ impl StageTrace {
 /// A frame of the depth-first traversal of Algorithm 2.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    /// Next cell to visit in the current list (`None` = list exhausted).
-    cursor: Option<CellId>,
+    /// Next cell to visit in the current list ([`NIL`] = list exhausted).
+    cursor: NodeId,
     /// Last cell belonging to the current list.
-    tail: CellId,
+    tail: NodeId,
     /// Whether entering this frame pushed an entry onto the marker path.
     pushed: bool,
 }
@@ -1273,7 +1255,7 @@ pub struct MappingIter<'a> {
 impl MappingIter<'_> {
     fn push_list(&mut self, list: ListRef, pushed: bool) {
         debug_assert!(!list.is_empty());
-        self.stack.push(Frame { cursor: Some(list.head), tail: list.tail, pushed });
+        self.stack.push(Frame { cursor: list.head, tail: list.tail, pushed });
     }
 
     /// Builds the mapping for the markers currently on `path`.
@@ -1311,23 +1293,24 @@ impl Iterator for MappingIter<'_> {
                 continue;
             }
             let top = self.stack.last_mut().expect("stack is non-empty");
-            let Some(cell_id) = top.cursor else {
+            let id = top.cursor;
+            if id == NIL {
                 // Current list exhausted: backtrack.
                 let frame = self.stack.pop().expect("stack is non-empty");
                 if frame.pushed {
                     self.path.pop();
                 }
                 continue;
-            };
-            // Advance the cursor within the current list.
-            let cell = self.store.cells[cell_id as usize];
-            top.cursor = if cell_id == top.tail { None } else { cell.next };
+            }
+            // Advance the cursor within the current list: one load reads the
+            // cell and its node.
+            let node = self.store.nodes[id as usize];
+            top.cursor = if id == top.tail { NIL } else { node.next };
 
-            if cell.node == BOTTOM {
+            if id == BOTTOM {
                 // A complete path: emit one mapping.
                 return Some(self.build_mapping());
             }
-            let node = self.store.nodes[cell.node as usize];
             self.path.push((node.markers, node.pos));
             self.push_list(node.list, true);
         }
@@ -1482,12 +1465,135 @@ mod tests {
         // {x⊢y⊢,1}, {y⊢,2}, {x⊢,2}, {⊣x⊣y,2 via q3}… — concretely, Algorithm 1
         // creates one node per (variable transition, live source) pair:
         //   Capturing(1): 3 nodes, Capturing(2): 3 nodes, Capturing(3): 2 nodes.
+        // The per-byte engine is verbatim Algorithm 1.
         let eva = figure3();
         let aut = det(&eva);
-        let dag = EnumerationDag::build(&aut, &Document::from("ab"));
+        let doc = Document::from("ab");
+        let mut per_byte = Evaluator::with_mode(EngineMode::PerByte);
+        let dag = per_byte.eval(&aut, &doc);
         assert_eq!(dag.num_nodes(), 1 + 8);
         assert_eq!(dag.num_roots(), 1);
         assert_eq!(dag.count_paths(), 3);
+        // The default engine drops {⊣x⊣y,2 via q3}: q9 has no letter
+        // transition on `b`, so Reading(2) wipes it.
+        let dag = EnumerationDag::build(&aut, &doc);
+        assert_eq!(dag.num_nodes(), 1 + 7);
+        assert_eq!(dag.num_roots(), 1);
+        assert_eq!(dag.count_paths(), 3);
+    }
+
+    /// A hand-built eager contact spanner in the style of Example 2.1:
+    /// `.* name{[A-Z][a-z]+} ' ' 'x' phone{[0-9-]+} 'y' .*`.
+    fn contact() -> Eva {
+        let mut reg = VarRegistry::new();
+        let name = reg.intern("name").unwrap();
+        let phone = reg.intern("phone").unwrap();
+        let mut b = EvaBuilder::new(reg);
+        let q = b.add_states(11);
+        b.set_initial(q[0]);
+        b.set_final(q[10]);
+        let ms = MarkerSet::new;
+        let upper = ByteClass::from_bytes(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ");
+        let lower = ByteClass::from_bytes(b"abcdefghijklmnopqrstuvwxyz");
+        let digits = ByteClass::from_bytes(b"0123456789-");
+        b.add_letter(q[0], ByteClass::any(), q[0]);
+        b.add_var(q[0], ms().with_open(name), q[1]).unwrap();
+        b.add_letter(q[1], upper, q[2]);
+        b.add_letter(q[2], lower, q[3]);
+        b.add_letter(q[3], lower, q[3]);
+        b.add_var(q[3], ms().with_close(name), q[4]).unwrap();
+        b.add_byte(q[4], b' ', q[5]);
+        b.add_byte(q[5], b'x', q[6]);
+        b.add_var(q[6], ms().with_open(phone), q[7]).unwrap();
+        b.add_letter(q[7], digits, q[8]);
+        b.add_letter(q[8], digits, q[8]);
+        b.add_var(q[8], ms().with_close(phone), q[9]).unwrap();
+        b.add_byte(q[9], b'y', q[10]);
+        b.add_letter(q[10], ByteClass::any(), q[10]);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn dead_captures_are_dropped_only_by_the_eager_skipping_loops() {
+        let eva = contact();
+        let aut = det(&eva);
+        let lazy = LazyDetSeva::new(&eva, crate::lazy::LazyConfig::default()).unwrap();
+        let doc = Document::from("Ann x555-12y, Bob x7y; bob x8y");
+        let reference = eva.eval_naive(&doc);
+        assert_eq!(reference.len(), 2);
+        // q0 offers `name⊢` before every byte. The per-byte loop makes all
+        // of those captures; the skipping loops skip q0-only stretches, and
+        // on the eager backend they also drop the captures the next byte
+        // kills (`name⊢` before a non-capital, `⊣name` inside a name, `⊣phone`
+        // inside a number). The final `name⊢` at |d| is always made.
+        let nodes = [
+            (EngineMode::PerByte, 45, 45),
+            (EngineMode::ClassRuns, 10, 20),
+            (EngineMode::SkipScan, 10, 20),
+        ];
+        for (mode, eager_nodes, lazy_nodes) in nodes {
+            let mut ev = Evaluator::with_mode(mode);
+            let dag = ev.eval(&aut, &doc);
+            assert_eq!(dag.num_nodes(), eager_nodes, "eager {mode:?}");
+            assert_eq!(dag.num_cells(), eager_nodes, "eager {mode:?}");
+            let mut out = dag.collect_mappings();
+            dedup_mappings(&mut out);
+            assert_eq!(out, reference, "eager {mode:?}");
+            let mut ev = Evaluator::with_mode(mode);
+            let dag = ev.eval_lazy(&lazy, &doc);
+            assert_eq!(dag.num_nodes(), lazy_nodes, "lazy {mode:?}");
+            let mut out = dag.collect_mappings();
+            dedup_mappings(&mut out);
+            assert_eq!(out, reference, "lazy {mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_node_is_its_own_list_cell_in_24_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 24);
+    }
+
+    #[test]
+    fn next_arena_id_accepts_every_id_below_nil() {
+        assert_eq!(next_arena_id(0), BOTTOM);
+        assert_eq!(next_arena_id(u32::MAX as usize - 1), u32::MAX - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "DAG node arena overflow")]
+    fn next_arena_id_refuses_the_nil_id() {
+        let _ = next_arena_id(u32::MAX as usize);
+    }
+
+    #[test]
+    fn lazy_and_frozen_steppers_never_report_dead_captures() {
+        let eva = contact();
+        let lazy = LazyDetSeva::new(&eva, crate::lazy::LazyConfig::default()).unwrap();
+        let mut cache = lazy.create_cache();
+        assert!(lazy.accepts(&mut cache, &Document::from("Ann x5y")));
+        let frozen = {
+            let mut ev = Evaluator::new();
+            let _ = ev.eval_lazy(&lazy, &Document::from("Ann x5y, Bob x6y"));
+            ev.lazy_cache().unwrap().freeze(&lazy)
+        };
+        let mut delta = FrozenDelta::new();
+        delta.bind(&frozen, &lazy);
+        let classes = lazy.num_alphabet_classes();
+        let before = (cache.num_states(), cache.memory_bytes(), cache.capacity_signature());
+        let delta_before = (delta.memory_bytes(), delta.capacity_signature());
+        {
+            let stepper = LazyStepper::new(&lazy, &mut cache);
+            let frozen_stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+            // Probe well past the states either side has interned.
+            for q in 0..64 {
+                for cls in 0..classes {
+                    assert!(!stepper.capture_dies(q, cls), "lazy ({q}, {cls})");
+                    assert!(!frozen_stepper.capture_dies(q, cls), "frozen ({q}, {cls})");
+                }
+            }
+        }
+        assert_eq!((cache.num_states(), cache.memory_bytes(), cache.capacity_signature()), before);
+        assert_eq!((delta.memory_bytes(), delta.capacity_signature()), delta_before);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! capacity-retention contract under real thread contention (run with
 //! `RUST_TEST_THREADS` unset so tests race each other too).
 
-use spanners::runtime::{BatchOptions, BatchSpanner, EvaluatorPool, SpannerServer};
+use spanners::runtime::{BatchOptions, BatchSpanner, CountCachePool, EvaluatorPool, SpannerServer};
 use spanners::workloads as w;
 use spanners::{
     CompiledSpanner, CountCache, Document, Evaluator, LazyConfig, Mapping, SpannerError,
 };
+use std::sync::Barrier;
 
 /// Worker counts every differential runs at: the sequential fallback, a
 /// modest fan-out, and heavy oversubscription (8 workers race regardless of
@@ -211,8 +212,15 @@ fn pooled_engines_retain_capacity_across_checkouts() {
 }
 
 /// The long-lived serving API: the frozen snapshot is built once, engine
-/// pools stop growing after the first batch, repeated batches are
-/// byte-for-byte stable, and everything agrees with the sequential engines.
+/// pools stop growing once warm, repeated batches are byte-for-byte stable,
+/// and everything agrees with the sequential engines.
+///
+/// A batch worker checks an engine out on its first job, so one worker may
+/// finish a whole batch before the other starts, and a pool can reach its
+/// peak concurrency on any later batch. Warm-up therefore fills each pool to
+/// the worker count deterministically before the "no new engines" check:
+/// the evaluator pool through a batch whose two jobs meet at a barrier, the
+/// count pool by holding two checkouts at once.
 #[test]
 fn server_keeps_pools_and_snapshot_warm_across_batches() {
     let spanner = CompiledSpanner::from_eva(&w::exp_blowup_eva(8)).unwrap();
@@ -222,15 +230,26 @@ fn server_keeps_pools_and_snapshot_warm_across_batches() {
     let frozen_states = server.frozen_states().expect("lazy spanner builds a snapshot");
     assert!(frozen_states > 0, "warming must intern subset states");
 
-    let first = server.count_batch(&docs).unwrap();
-    let engines_after_first = server.engines_created();
-    assert!(engines_after_first.1 <= 2, "more count engines than workers");
+    // Each job holds its worker's engine until both workers hold one.
+    let both_checked_out = Barrier::new(2);
+    server.evaluate_batch(&docs[..2], |_, _| {
+        both_checked_out.wait();
+    });
+    let counts = CountCachePool::<u64>::new();
+    drop((counts.checkout(), counts.checkout()));
+    let warm_engines = (server.engines_created().0, counts.engines_created());
+    assert_eq!(warm_engines, (2, 2), "warm-up must fill both pools to the worker count");
+
+    let first = server.count_batch_with(&counts, &docs).unwrap();
     for round in 0..3 {
-        assert_eq!(server.count_batch(&docs).unwrap(), first, "round {round}");
+        assert_eq!(server.count_batch_with(&counts, &docs).unwrap(), first, "round {round}");
     }
+    let a = server.evaluate_batch(&docs, |_, dag| dag.collect_mappings());
+    let b = server.evaluate_batch(&docs, |_, dag| dag.collect_mappings());
+    assert_eq!(a, b, "repeated server batches must be byte-for-byte stable");
     assert_eq!(
-        server.engines_created(),
-        engines_after_first,
+        (server.engines_created().0, counts.engines_created()),
+        warm_engines,
         "warm pools must serve repeated batches without creating engines"
     );
     assert_eq!(
@@ -239,14 +258,12 @@ fn server_keeps_pools_and_snapshot_warm_across_batches() {
         "the frozen snapshot must not be rebuilt between batches"
     );
 
-    let mut counts = CountCache::<u64>::new();
+    let mut cache = CountCache::<u64>::new();
     let expected: Vec<u64> =
-        docs.iter().map(|d| spanner.count_with(&mut counts, d).unwrap()).collect();
+        docs.iter().map(|d| spanner.count_with(&mut cache, d).unwrap()).collect();
     assert_eq!(first, expected, "server counts diverged from the sequential engine");
-
-    let a = server.evaluate_batch(&docs, |_, dag| dag.collect_mappings());
-    let b = server.evaluate_batch(&docs, |_, dag| dag.collect_mappings());
-    assert_eq!(a, b, "repeated server batches must be byte-for-byte stable");
+    assert_eq!(server.count_batch(&docs).unwrap(), expected, "server's own count pool");
+    assert!(server.engines_created().1 <= 2, "more count engines than workers");
     assert_eq!(server.is_match_batch(&docs), expected.iter().map(|&c| c > 0).collect::<Vec<_>>());
 }
 

@@ -5,7 +5,8 @@
 
 use spanners::automata::{compile_va, va_to_eva, CompileOptions};
 use spanners::core::{
-    count_mappings, dedup_mappings, CompiledSpanner, Document, EnumerationDag, Mapping, Span,
+    count_mappings, dedup_mappings, CompiledSpanner, Document, EngineMode, EnumerationDag,
+    Evaluator, Mapping, Span,
 };
 use spanners::regex::{compile, eval_regex, parse};
 use spanners::workloads::{contact_pattern, figure1_document, figure2_va, figure3_eva, prop42_va};
@@ -128,11 +129,27 @@ fn figure3_outputs_on_ab_match_the_paper() {
 #[test]
 fn figure6_dag_has_the_paper_shape() {
     // Figure 6: the DAG for Figure 3 over d = ab has ⊥ plus eight proper nodes,
-    // one root list (state q9), and three root-to-⊥ paths.
+    // one root list (state q9), and three root-to-⊥ paths. The per-byte
+    // engine is verbatim Algorithm 1, so it builds exactly that DAG.
+    let eva = figure3_eva();
+    let spanner = CompiledSpanner::from_eva(&eva).unwrap();
+    let mut evaluator = Evaluator::with_mode(EngineMode::PerByte);
+    let dag = spanner.evaluate_with(&mut evaluator, &Document::from("ab"));
+    assert_eq!(dag.num_nodes(), 9);
+    assert_eq!(dag.num_roots(), 1);
+    assert_eq!(dag.count_paths(), 3);
+}
+
+#[test]
+fn figure6_dag_default_engine_drops_the_dead_capture() {
+    // The default engine makes the same DAG minus one node: ({⊣x ⊣y}, 2), the
+    // capture q3 → q9 of Capturing(2), right before the `b`. q9 has no letter
+    // transition, so Reading(2) wipes q9's list and no root reaches that
+    // node. The closing captures of the final Capturing(3) are kept.
     let eva = figure3_eva();
     let spanner = CompiledSpanner::from_eva(&eva).unwrap();
     let dag = spanner.evaluate(&Document::from("ab"));
-    assert_eq!(dag.num_nodes(), 9);
+    assert_eq!(dag.num_nodes(), 8);
     assert_eq!(dag.num_roots(), 1);
     assert_eq!(dag.count_paths(), 3);
 }
