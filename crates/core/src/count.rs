@@ -8,22 +8,29 @@
 //! because `A` is deterministic different runs encode different mappings, so
 //! the run counts equal the mapping counts.
 //!
-//! Like the enumeration engine, counting comes in two forms: the reusable
-//! [`CountCache`] (zero steady-state allocation, skip-mask scanning fast
-//! path — the serving configuration) and the one-shot [`count_mappings`]
-//! convenience wrapper. Run skipping leaves counts unchanged for the same reason it
-//! leaves the enumeration lists unchanged: on a skippable class every live
-//! state's count moves onto itself and every capture attempt is zeroed by the
-//! following `Reading` phase before it can reach a final state.
+//! Counting runs the very sweep of the enumeration engine (`sweep.rs`) with
+//! a [`Counter`] in place of each node list, so it has the same three loops,
+//! the same backends and the same step fuel per position. It comes in two
+//! forms: the reusable [`CountCache`] (zero steady-state allocation,
+//! skip-mask scanning fast path — the serving configuration) and the
+//! one-shot [`count_mappings`] convenience wrapper. Run skipping leaves
+//! counts unchanged for the same reason it leaves the enumeration lists
+//! unchanged: on a skippable class every live state's count moves onto
+//! itself and every capture attempt is zeroed by the following `Reading`
+//! phase before it can reach a final state. For the same reason the
+//! skipping loops skip dead captures on the eager backend, as the
+//! enumeration engine does.
 
-use crate::byteclass::ClassRuns;
-use crate::det::{DetSeva, SkipScanner, Stepper};
+use std::marker::PhantomData;
+
+use crate::det::DetSeva;
 use crate::document::Document;
 use crate::enumerate::EngineMode;
 use crate::error::SpannerError;
 use crate::lazy::{FrozenCache, FrozenDelta, FrozenStepper, LazyCache, LazyDetSeva, LazyStepper};
-use crate::limits::{EvalLimits, LimitChecker};
-use crate::sparse::SparseSet;
+use crate::limits::EvalLimits;
+use crate::markerset::MarkerSet;
+use crate::sweep::{Payload, Shell, Sweep};
 
 /// Numeric types usable as mapping counters.
 ///
@@ -120,7 +127,8 @@ pub fn count_mappings<C: Counter>(aut: &DetSeva, doc: &Document) -> Result<C, Sp
 }
 
 /// The reusable engine behind Algorithm 3 — the counting mirror of
-/// [`crate::Evaluator`].
+/// [`crate::Evaluator`], running the same sweep with a count in place of
+/// each node list.
 ///
 /// A `CountCache` owns the per-state count vectors, the sparse active sets,
 /// and the byte-class buffer of the class-run fast path, all retained across
@@ -154,63 +162,13 @@ pub fn count_mappings<C: Counter>(aut: &DetSeva, doc: &Document) -> Result<C, Sp
 /// ```
 #[derive(Debug, Clone)]
 pub struct CountCache<C: Counter> {
-    /// N[q] = number of partial runs currently ending in q. Dense storage, but
-    /// both phases walk only the sparse set of states with a non-zero count —
-    /// the same active-state organisation as the enumeration engine.
-    counts: Vec<C>,
-    /// Phase-start snapshots of `counts` for the active states.
-    old: Vec<C>,
-    /// States with a (possibly) non-zero count in the current phase.
-    active: SparseSet,
-    /// The active set under construction during a `Reading` phase.
-    next_active: SparseSet,
-    /// Reusable byte → alphabet-class buffer of the class-run fast path.
-    class_buf: Vec<u8>,
-    /// The cached mask state of the scanning engine (mirrors
-    /// `Evaluator::scanner`; the protocol lives in `SkipScanner`).
-    scanner: SkipScanner,
-    /// Live-id scratch of the clear-and-restart eviction protocol (lazy
-    /// automata only; see [`Stepper::maintain`]).
-    maint_ids: Vec<u32>,
-    /// The live states' counts, saved across an eviction's id remap.
-    maint_counts: Vec<C>,
-    /// The lazy determinization cache of the automaton last counted with
-    /// [`CountCache::count_lazy`], tagged with the automaton's identity
-    /// (mirrors [`crate::Evaluator`]'s embedded cache).
-    lazy: Option<(u64, LazyCache)>,
-    /// The per-worker overflow delta of the [`FrozenCache`] last counted
-    /// with [`CountCache::count_frozen`], tagged with the snapshot's
-    /// identity (mirrors [`crate::Evaluator`]'s embedded delta).
-    frozen: Option<(u64, FrozenDelta)>,
-    /// Which inner loop drives Algorithm 3.
-    mode: EngineMode,
-    /// Per-document resource limits applied by every count (default: none).
-    limits: EvalLimits,
-    /// The per-run limit enforcement state, restarted by every count.
-    checker: LimitChecker,
-    /// One-off lazy-cache/delta byte-budget override (mirrors
-    /// [`crate::Evaluator::set_cache_budget_override`]).
-    budget_override: Option<usize>,
+    shell: Shell,
+    sweep: Sweep<Counts<C>>,
 }
 
 impl<C: Counter> Default for CountCache<C> {
     fn default() -> Self {
-        CountCache {
-            counts: Vec::new(),
-            old: Vec::new(),
-            active: SparseSet::new(0),
-            next_active: SparseSet::new(0),
-            class_buf: Vec::new(),
-            scanner: SkipScanner::default(),
-            maint_ids: Vec::new(),
-            maint_counts: Vec::new(),
-            lazy: None,
-            frozen: None,
-            mode: EngineMode::default(),
-            limits: EvalLimits::none(),
-            checker: LimitChecker::unlimited(),
-            budget_override: None,
-        }
+        CountCache { shell: Shell::default(), sweep: Sweep::default() }
     }
 }
 
@@ -223,22 +181,24 @@ impl<C: Counter> CountCache<C> {
 
     /// A fresh cache driving Algorithm 3 with the given engine.
     pub fn with_mode(mode: EngineMode) -> Self {
-        CountCache { mode, ..CountCache::default() }
+        let mut cache = CountCache::new();
+        cache.set_mode(mode);
+        cache
     }
 
     /// The engine mode this cache runs.
     pub fn mode(&self) -> EngineMode {
-        self.mode
+        self.shell.mode
     }
 
     /// Switches the engine mode for subsequent [`CountCache::count`] calls.
     pub fn set_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
+        self.shell.mode = mode;
     }
 
     /// The per-document resource limits applied by every count.
     pub fn limits(&self) -> EvalLimits {
-        self.limits
+        self.shell.limits
     }
 
     /// Sets per-document resource limits for subsequent counts. Counting
@@ -246,37 +206,36 @@ impl<C: Counter> CountCache<C> {
     /// ordinary errors ([`SpannerError::StepBudgetExceeded`],
     /// [`SpannerError::DeadlineExceeded`], [`SpannerError::BudgetExceeded`]).
     pub fn set_limits(&mut self, limits: EvalLimits) {
-        self.limits = limits;
+        self.shell.limits = limits;
     }
 
     /// Overrides the lazy-cache/frozen-delta byte budget for subsequent
     /// counts (mirrors [`crate::Evaluator::set_cache_budget_override`]).
     pub fn set_cache_budget_override(&mut self, budget: Option<usize>) {
-        self.budget_override = budget;
+        self.shell.budget_override = budget;
     }
 
     /// The active lazy-cache/frozen-delta byte-budget override, if any.
     pub fn cache_budget_override(&self) -> Option<usize> {
-        self.budget_override
+        self.shell.budget_override
     }
 
     /// Current capacity of the per-state count vector (diagnostics: a warm
     /// cache keeps its capacity across documents instead of reallocating).
     pub fn counts_capacity(&self) -> usize {
-        self.counts.capacity()
+        self.sweep.vals_capacity()
     }
 
     /// Current capacity of the byte-class buffer.
     pub fn class_buf_capacity(&self) -> usize {
-        self.class_buf.capacity()
+        self.sweep.class_buf_capacity()
     }
 
     /// Counts `|⟦A⟧(d)|` (Algorithm 3 / Theorem 5.1), reusing all previously
     /// allocated capacity. Returns [`SpannerError::CountOverflow`] if the
     /// counter type overflows.
     pub fn count(&mut self, aut: &DetSeva, doc: &Document) -> Result<C, SpannerError> {
-        let mut stepper: &DetSeva = aut;
-        self.count_run(&mut stepper, doc)
+        self.sweep.run(&mut &*aut, doc, &self.shell, None)
     }
 
     /// Like [`CountCache::count`] but over a **lazily determinized**
@@ -284,22 +243,16 @@ impl<C: Counter> CountCache<C> {
     /// `CountCache` — the Algorithm 3 mirror of
     /// [`crate::Evaluator::eval_lazy`].
     pub fn count_lazy(&mut self, aut: &LazyDetSeva, doc: &Document) -> Result<C, SpannerError> {
-        let mut cache = match self.lazy.take() {
-            Some((id, cache)) if id == aut.id() => cache,
-            _ => aut.create_cache(),
-        };
-        cache.bind(aut);
-        cache.set_budget(self.budget_override.unwrap_or(aut.config().memory_budget));
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        let result = self.count_run(&mut stepper, doc);
-        self.lazy = Some((aut.id(), cache));
-        result
+        let sweep = &mut self.sweep;
+        self.shell.with_lazy(aut, |shell, cache| {
+            sweep.run(&mut LazyStepper::new(aut, cache), doc, shell, None)
+        })
     }
 
     /// The embedded lazy determinization cache, if a lazy automaton has been
     /// counted (diagnostics; mirrors [`crate::Evaluator::lazy_cache`]).
     pub fn lazy_cache(&self) -> Option<&LazyCache> {
-        self.lazy.as_ref().map(|(_, c)| c)
+        self.shell.lazy_cache()
     }
 
     /// Like [`CountCache::count_lazy`] but stepping through a **shared
@@ -313,272 +266,84 @@ impl<C: Counter> CountCache<C> {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<C, SpannerError> {
-        let mut delta = self.take_frozen_delta(frozen);
-        delta.bind(frozen, aut);
-        delta.set_budget(self.budget_override.unwrap_or(aut.config().memory_budget));
-        let result = {
-            let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-            self.count_run(&mut stepper, doc)
-        };
-        self.frozen = Some((frozen.id(), delta));
-        result
-    }
-
-    /// Takes the embedded delta out for a count against `frozen`, replacing
-    /// it with a fresh one if it belonged to a different snapshot (mirrors
-    /// `Evaluator::take_frozen_delta`).
-    fn take_frozen_delta(&mut self, frozen: &FrozenCache) -> FrozenDelta {
-        match self.frozen.take() {
-            Some((id, delta)) if id == frozen.id() => delta,
-            _ => FrozenDelta::new(),
-        }
+        let sweep = &mut self.sweep;
+        self.shell.with_frozen(aut, frozen, |shell, delta| {
+            sweep.run(&mut FrozenStepper::new(aut, frozen, delta), doc, shell, None)
+        })
     }
 
     /// The embedded frozen-overflow delta, if a frozen snapshot has been
     /// counted (diagnostics; mirrors [`crate::Evaluator::frozen_delta`]).
     pub fn frozen_delta(&self) -> Option<&FrozenDelta> {
-        self.frozen.as_ref().map(|(_, d)| d)
+        self.shell.frozen_delta()
     }
 
     /// Bytes currently held by this cache's **governed** memory (mirrors
     /// [`crate::Evaluator::governed_bytes`]): the embedded lazy
     /// determinization cache plus the frozen-overflow delta.
     pub fn governed_bytes(&self) -> usize {
-        let lazy = self.lazy.as_ref().map_or(0, |(_, c)| c.memory_bytes());
-        let frozen = self.frozen.as_ref().map_or(0, |(_, d)| d.memory_bytes());
-        lazy + frozen
+        self.shell.governed_bytes()
     }
 
     /// Sheds this cache's governed memory for the global governor (mirrors
     /// [`crate::Evaluator::shed_cold_memory`]); returns the bytes freed.
     pub fn shed_cold_memory(&mut self) -> usize {
-        let mut freed = 0;
-        if let Some((_, cache)) = self.lazy.take() {
-            freed += cache.memory_bytes();
-        }
-        if let Some((_, delta)) = self.frozen.as_mut() {
-            freed += delta.shed();
-        }
-        freed
+        self.shell.shed_cold_memory()
+    }
+}
+
+/// Algorithm 3's payload: each live state carries `N[q]`, the number of
+/// partial runs ending in it; `add` and `append` are checked additions.
+#[derive(Debug, Clone)]
+struct Counts<C>(PhantomData<C>);
+
+impl<C> Default for Counts<C> {
+    fn default() -> Self {
+        Counts(PhantomData)
+    }
+}
+
+impl<C: Counter> Payload for Counts<C> {
+    type Val = C;
+    type Out = C;
+
+    fn empty() -> C {
+        C::zero()
     }
 
-    /// The Algorithm 3 loop, generic over the eager/lazy [`Stepper`] seam.
-    fn count_run<S: Stepper>(&mut self, aut: &mut S, doc: &Document) -> Result<C, SpannerError> {
-        self.checker = LimitChecker::start(&self.limits);
-        let n_states = aut.state_bound();
-        // Reset retained storage without releasing capacity; `ensure_state`
-        // grows it when a lazy stepper discovers states mid-document.
-        self.counts.clear();
-        self.counts.resize(n_states, C::zero());
-        self.old.clear();
-        self.old.resize(n_states, C::zero());
-        self.active.reset(n_states);
-        self.next_active.reset(n_states);
-        let init = aut.start_state();
-        self.ensure_state(init);
-        self.counts[init] = C::one();
-        self.active.insert(init);
-
-        // Invariant: `active` ⊇ the states with a non-zero count, and
-        // counts[q] is zero for every state outside `active`.
-        match self.mode {
-            EngineMode::PerByte => {
-                let bytes = doc.bytes();
-                for i in 0..=bytes.len() {
-                    self.checker.tick()?;
-                    self.maintenance_point(aut)?;
-                    self.capture_phase(aut)?;
-                    if i == bytes.len() {
-                        break;
-                    }
-                    let cls = aut.byte_class(bytes[i]);
-                    self.read_phase(aut, cls)?;
-                }
-            }
-            EngineMode::ClassRuns => {
-                // Run-skipping loop: identical counts by the argument in the
-                // module docs — a skippable class moves every live count onto
-                // itself and zeroes every capture attempt at the next Reading.
-                let mut class_buf = std::mem::take(&mut self.class_buf);
-                aut.classify_document(doc, &mut class_buf);
-                let result = self.count_class_runs(aut, &class_buf);
-                self.class_buf = class_buf;
-                result?;
-            }
-            EngineMode::SkipScan => {
-                // Skip-mask scanning (the counting mirror of
-                // `Evaluator::run_skip_scan`; the mask/interest caching and
-                // invalidation protocol is shared via `SkipScanner`): jump
-                // straight to the next interesting byte — same skip
-                // decisions as the class-run loop, per-interesting-byte cost
-                // model. Short skips under a fresh mask probe one chunk
-                // against the mask; only longer ones rebuild the interest
-                // table and bulk-scan.
-                let bytes = doc.bytes();
-                self.scanner.reset();
-                let mut i = 0usize;
-                while i < bytes.len() {
-                    if aut.wants_maintenance() {
-                        self.maintenance_point(aut)?;
-                        self.scanner.reset();
-                    }
-                    let cls = aut.byte_class(bytes[i]);
-                    if self.scanner.should_skip(aut, self.active.as_slice(), cls) {
-                        self.checker.tick_jump()?;
-                        match self.scanner.next_interesting(aut.partition(), bytes, i + 1) {
-                            Some(j) => i = j,
-                            None => break,
-                        }
-                        continue;
-                    }
-                    self.checker.tick()?;
-                    self.capture_phase(aut)?;
-                    self.read_phase(aut, cls)?;
-                    self.scanner.executed();
-                    i += 1;
-                    if self.active.is_empty() {
-                        break;
-                    }
-                }
-                self.maintenance_point(aut)?;
-                self.capture_phase(aut)?;
-            }
-        }
-
-        let mut total = C::zero();
-        for idx in 0..self.active.len() {
-            let q = self.active.get(idx);
-            if aut.is_final(q) {
-                total = total.checked_add(&self.counts[q]).ok_or(SpannerError::CountOverflow)?;
-            }
-        }
-        Ok(total)
+    fn start(&mut self) -> C {
+        C::one()
     }
 
-    /// The class-run counting loop, split out so `count_run` can restore the
-    /// classification buffer even when a limit error aborts the document.
-    fn count_class_runs<S: Stepper>(
+    #[inline]
+    fn add(
         &mut self,
-        aut: &mut S,
-        class_buf: &[u8],
+        n: &mut C,
+        _: bool,
+        _: MarkerSet,
+        _: usize,
+        src: &C,
     ) -> Result<(), SpannerError> {
-        for run in ClassRuns::new(class_buf) {
-            let cls = run.class as usize;
-            let end = run.start + run.len;
-            let mut i = run.start;
-            while i < end {
-                self.maintenance_point(aut)?;
-                if self.active.as_slice().iter().all(|&q| aut.run_skippable(q as usize, cls)) {
-                    self.checker.tick_jump()?;
-                    break;
-                }
-                self.checker.tick()?;
-                self.capture_phase(aut)?;
-                self.read_phase(aut, cls)?;
-                i += 1;
-            }
-        }
-        self.maintenance_point(aut)?;
-        self.capture_phase(aut)?;
+        *n = n.checked_add(src).ok_or(SpannerError::CountOverflow)?;
         Ok(())
     }
 
-    /// Grows the per-state storage to cover state id `q` (no-op for eager
-    /// automata; amortized bump when a lazy automaton interns fresh subsets).
     #[inline]
-    fn ensure_state(&mut self, q: usize) {
-        if q >= self.counts.len() {
-            let n = q + 1;
-            self.counts.resize(n, C::zero());
-            self.old.resize(n, C::zero());
-            self.active.grow(n);
-            self.next_active.grow(n);
-        }
-    }
-
-    /// Once-per-position cache-budget hook; the counting mirror of
-    /// [`crate::Evaluator`]'s maintenance point (counts are saved across the
-    /// eviction's id remap instead of lists).
-    #[inline]
-    fn maintenance_point<S: Stepper>(&mut self, aut: &mut S) -> Result<(), SpannerError> {
-        if !aut.wants_maintenance() {
-            return Ok(());
-        }
-        let mut ids = std::mem::take(&mut self.maint_ids);
-        let mut saved = std::mem::take(&mut self.maint_counts);
-        ids.clear();
-        ids.extend_from_slice(self.active.as_slice());
-        saved.clear();
-        for &q in &ids {
-            saved.push(self.counts[q as usize].clone());
-            self.counts[q as usize] = C::zero();
-        }
-        // The remap completes even when the thrash guard trips, so the
-        // engine stays internally consistent after an error return.
-        let mut verdict = Ok(());
-        if aut.maintain(&mut ids) {
-            verdict = self.checker.note_clear();
-            self.active.clear();
-            for (k, &q) in ids.iter().enumerate() {
-                let q = q as usize;
-                self.ensure_state(q);
-                self.active.insert(q);
-                self.counts[q] = saved[k].clone();
-            }
-        } else {
-            for (k, &q) in ids.iter().enumerate() {
-                self.counts[q as usize] = saved[k].clone();
-            }
-        }
-        self.maint_ids = ids;
-        self.maint_counts = saved;
-        verdict
-    }
-
-    /// `Capturing(i)`: extend runs with extended variable transitions.
-    #[inline]
-    fn capture_phase<S: Stepper>(&mut self, aut: &mut S) -> Result<(), SpannerError> {
-        let live = self.active.len();
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            self.old[q] = self.counts[q].clone();
-        }
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            if !aut.has_markers(q) {
-                continue;
-            }
-            for &(_, p) in aut.markers_from(q) {
-                self.ensure_state(p);
-                self.active.insert(p);
-                self.counts[p] =
-                    self.counts[p].checked_add(&self.old[q]).ok_or(SpannerError::CountOverflow)?;
-            }
-        }
+    fn append(&mut self, n: &mut C, _: bool, src: &C) -> Result<(), SpannerError> {
+        *n = n.checked_add(src).ok_or(SpannerError::CountOverflow)?;
         Ok(())
     }
 
-    /// `Reading(i)`: extend runs with the letter transition on class `cls`.
-    #[inline]
-    fn read_phase<S: Stepper>(&mut self, aut: &mut S, cls: usize) -> Result<(), SpannerError> {
-        let live = self.active.len();
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            self.old[q] = self.counts[q].clone();
-            self.counts[q] = C::zero();
-        }
-        self.next_active.clear();
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            if let Some(p) = aut.step_class(q, cls) {
-                self.ensure_state(p);
-                self.next_active.insert(p);
-                self.counts[p] =
-                    self.counts[p].checked_add(&self.old[q]).ok_or(SpannerError::CountOverflow)?;
-            }
-        }
-        std::mem::swap(&mut self.active, &mut self.next_active);
-        Ok(())
+    fn finish<'v>(
+        &mut self,
+        mut finals: impl Iterator<Item = (usize, &'v C)>,
+    ) -> Result<C, SpannerError>
+    where
+        C: 'v,
+    {
+        finals.try_fold(C::zero(), |total, (_, n)| {
+            total.checked_add(n).ok_or(SpannerError::CountOverflow)
+        })
     }
 }
 

@@ -15,7 +15,6 @@ use crate::document::Document;
 use crate::error::SpannerError;
 use crate::eva::{Eva, StateId};
 use crate::markerset::MarkerSet;
-use crate::sparse::SparseSet;
 use crate::variable::VarRegistry;
 
 /// Sentinel for "no transition" in the dense letter table.
@@ -313,17 +312,16 @@ impl DetSeva {
 
     /// Runs the letter/marker transition relation over `doc` without producing
     /// output, returning whether the document is *accepted* (i.e. whether
-    /// `⟦A⟧(d)` is non-empty). Linear time, used as a cheap pre-check.
-    /// One definition of the acceptance loop exists — [`accepts_generic`] —
-    /// shared with the lazy engine through the zero-cost `&DetSeva` shim.
+    /// `⟦A⟧(d)` is non-empty). Linear time, used as a cheap pre-check: the
+    /// evaluation sweep with nothing attached to a live state, in the default
+    /// [`crate::EngineMode`].
     pub fn accepts(&self, doc: &Document) -> bool {
-        let mut stepper: &DetSeva = self;
-        accepts_generic(&mut stepper, doc)
+        crate::sweep::accepts(&mut &*self, doc)
     }
 }
 
-/// The transition interface the evaluation engines (Algorithms 1 and 3) are
-/// generic over — the seam between the *eager* [`DetSeva`], the *lazy*
+/// The transition interface the evaluation sweep (Algorithms 1 and 3 and
+/// acceptance) is generic over — the seam between the *eager* [`DetSeva`], the *lazy*
 /// hybrid determinization cache ([`crate::lazy::LazyDetSeva`] +
 /// [`crate::lazy::LazyCache`]), and the *frozen/delta* split of the parallel
 /// batch runtime ([`crate::lazy::FrozenCache`] shared read-only across
@@ -492,9 +490,9 @@ impl Stepper for &DetSeva {
     }
 }
 
-/// The cached mask state of one skip-scanning evaluation
-/// ([`crate::EngineMode::SkipScan`]), shared by the enumeration and counting
-/// engines so the invalidation protocol lives in exactly one place.
+/// The cached mask state of one skip-scanning sweep
+/// ([`crate::EngineMode::SkipScan`]), kept apart from the sweep so its
+/// invalidation protocol can be tested on its own.
 ///
 /// It maintains three caches with distinct lifetimes:
 ///
@@ -620,98 +618,6 @@ impl SkipScanner {
         }
         find_next_interesting(bytes, from, &self.interest)
     }
-}
-
-/// Runs the letter/marker transition relation of any [`Stepper`] over `doc`
-/// without producing output, returning whether the document is accepted.
-/// Generic backend of [`DetSeva::accepts`] and
-/// [`crate::lazy::LazyDetSeva::accepts`]; honours the maintenance hooks, so a
-/// lazy implementation stays within its memory budget here too.
-pub(crate) fn accepts_generic<S: Stepper>(aut: &mut S, doc: &Document) -> bool {
-    try_accepts_generic(aut, doc, &crate::limits::EvalLimits::none())
-        .expect("unlimited acceptance run cannot trip a limit")
-}
-
-/// [`accepts_generic`] under per-document [`EvalLimits`](crate::EvalLimits):
-/// every position ticks the amortized limit checker, and evictions feed the
-/// thrash guard.
-pub(crate) fn try_accepts_generic<S: Stepper>(
-    aut: &mut S,
-    doc: &Document,
-    limits: &crate::limits::EvalLimits,
-) -> Result<bool, SpannerError> {
-    let mut checker = crate::limits::LimitChecker::start(limits);
-    let mut live = SparseSet::new(aut.state_bound());
-    let mut next = SparseSet::new(aut.state_bound());
-    let mut maint: Vec<u32> = Vec::new();
-    let init = aut.start_state();
-    live.grow(init + 1);
-    next.grow(init + 1);
-    live.insert(init);
-    for &b in doc.bytes() {
-        checker.tick()?;
-        maintain_set(aut, &mut live, &mut maint, &mut checker)?;
-        // Capturing: add the one-step marker successors of the states live at
-        // phase start (marker steps do not chain within one position).
-        let snapshot = live.len();
-        for idx in 0..snapshot {
-            let q = live.get(idx);
-            for &(_, p) in aut.markers_from(q) {
-                live.grow(p + 1);
-                live.insert(p);
-            }
-        }
-        // Reading.
-        let cls = aut.byte_class(b);
-        next.clear();
-        for idx in 0..live.len() {
-            if let Some(p) = aut.step_class(live.get(idx), cls) {
-                next.grow(p + 1);
-                next.insert(p);
-            }
-        }
-        std::mem::swap(&mut live, &mut next);
-        if live.is_empty() {
-            return Ok(false);
-        }
-    }
-    // Final capturing step, then the final check.
-    maintain_set(aut, &mut live, &mut maint, &mut checker)?;
-    let snapshot = live.len();
-    for idx in 0..snapshot {
-        let q = live.get(idx);
-        for &(_, p) in aut.markers_from(q) {
-            live.grow(p + 1);
-            live.insert(p);
-        }
-    }
-    let accepted = live.iter().any(|q| aut.is_final(q));
-    Ok(accepted)
-}
-
-/// Maintenance helper for [`accepts_generic`]: runs the clear-and-restart
-/// eviction protocol on a bare live set (no per-state payload to remap),
-/// feeding each eviction to the thrash guard.
-fn maintain_set<S: Stepper>(
-    aut: &mut S,
-    live: &mut SparseSet,
-    scratch: &mut Vec<u32>,
-    checker: &mut crate::limits::LimitChecker,
-) -> Result<(), SpannerError> {
-    if !aut.wants_maintenance() {
-        return Ok(());
-    }
-    scratch.clear();
-    scratch.extend_from_slice(live.as_slice());
-    if aut.maintain(scratch) {
-        live.clear();
-        for &q in scratch.iter() {
-            live.grow(q as usize + 1);
-            live.insert(q as usize);
-        }
-        checker.note_clear()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -11,35 +11,36 @@
 //! paper requires — `add` (prepend), `lazycopy` (copy of the `(start, end)`
 //! pair) and `append` (splice another list after the end element).
 //!
-//! Both phases are driven by a **sparse active-state set** ([`SparseSet`]):
-//! only states whose list is non-empty are visited, so the cost per document
-//! position is proportional to the number of *live* states (plus the work of
-//! their transitions), not to the total number of automaton states. This is
-//! the same organisation production regex engines use for NFA simulation and
-//! is what makes the `O(|A| × |d|)` preprocessing bound tight in practice.
+//! The document walk itself — the sparse active-state set
+//! ([`crate::SparseSet`]), the three loops of [`EngineMode`], the lazy-cache
+//! maintenance points and the two phases — is the sweep shared with
+//! Algorithm 3 and with acceptance (`sweep.rs`); this module supplies the
+//! DAG arena as the sweep's per-state payload. Only states whose list is
+//! non-empty are visited, so the cost per position is proportional to the
+//! number of *live* states, not to the total number of automaton states.
 //!
 //! On top of the sparse loop sit two **run-skipping fast paths**. The default
 //! is **skip-mask scanning** ([`EngineMode::SkipScan`]): every automaton
 //! state carries a bitset of the alphabet classes on which a `(Capturing;
 //! Reading)` step is provably a no-op for it ([`DetSeva::skip_mask`]), the
-//! active set's bitsets are intersected into one [`ClassMask`] (recomputed
-//! only when the active set changes), and the loop jumps from one
+//! active set's bitsets are intersected into one [`crate::ClassMask`]
+//! (recomputed only when the active set changes), and the loop jumps from one
 //! *interesting* byte to the next with a chunked, memchr-style scanner
-//! ([`find_next_interesting`]) — skippable stretches cost a vectorisable LUT
-//! scan no matter how many class runs they span. The older **class-run**
-//! path ([`EngineMode::ClassRuns`]) bulk-classifies the document
-//! ([`crate::byteclass::AlphabetPartition::classify_into`]), walks maximal
-//! same-class runs and consumes any run on whose class every live state is
-//! [`DetSeva::run_skippable`] in `O(live states)`; it remains as the
-//! fallback and differential baseline. Long stretches of "noise" between
-//! matches (the common case in Example 2.1-style extraction) then cost
-//! almost nothing; the byte-at-a-time loop remains available as
-//! [`EngineMode::PerByte`] and for traced runs.
+//! ([`crate::find_next_interesting`]) — skippable stretches cost a
+//! vectorisable LUT scan no matter how many class runs they span. The older
+//! **class-run** path ([`EngineMode::ClassRuns`]) bulk-classifies the
+//! document ([`crate::byteclass::AlphabetPartition::classify_into`]), walks
+//! maximal same-class runs and consumes any run on whose class every live
+//! state is [`DetSeva::run_skippable`] in `O(live states)`; it remains as the
+//! differential baseline. Long stretches of "noise" between matches (the
+//! common case in Example 2.1-style extraction) then cost almost nothing;
+//! the byte-at-a-time loop remains available as [`EngineMode::PerByte`] and
+//! for traced runs.
 //!
 //! On the eager backend the skipping loops also drop *dead captures* into a
-//! state with no letter transition on the next byte ([`Stepper::capture_dies`]),
-//! whose lists the next `Reading` phase would wipe. Each node is its own list
-//! cell, so the DAG lives in one arena.
+//! state with no letter transition on the next byte
+//! ([`crate::Stepper::capture_dies`]), whose lists the next `Reading` phase
+//! would wipe. Each node is its own list cell, so the DAG lives in one arena.
 //!
 //! The evaluation state (node arena, list vectors, active sets) lives in
 //! a reusable [`Evaluator`], so a long-running service evaluating one compiled
@@ -54,16 +55,15 @@
 //! bounded by a function of the number of variables only — it does not depend
 //! on the document.
 
-use crate::byteclass::ClassRuns;
-use crate::det::{DetSeva, SkipScanner, Stepper};
+use crate::det::DetSeva;
 use crate::document::Document;
 use crate::error::SpannerError;
 use crate::lazy::{FrozenCache, FrozenDelta, FrozenStepper, LazyCache, LazyDetSeva, LazyStepper};
-use crate::limits::{EvalLimits, LimitChecker};
+use crate::limits::EvalLimits;
 use crate::mapping::Mapping;
 use crate::markerset::MarkerSet;
 use crate::span::Span;
-use crate::sparse::SparseSet;
+use crate::sweep::{infallible, Payload, Shell, Sweep};
 use crate::variable::{VarRegistry, MAX_VARIABLES};
 
 /// Index of a node (and of its list cell) in the DAG arena. Node 0 is the sink `⊥`.
@@ -168,8 +168,8 @@ impl DagStore {
     }
 }
 
-/// Which inner loop an [`Evaluator`] (or a `CountCache`) drives Algorithm 1 /
-/// Algorithm 3 with.
+/// Which inner loop an [`Evaluator`] (or a [`crate::CountCache`]) drives
+/// Algorithm 1, Algorithm 3 and acceptance with.
 ///
 /// All modes produce **identical outputs**: the same mappings, the same
 /// counts, the same root lists (and, for a fixed automaton state space, the
@@ -180,7 +180,7 @@ impl DagStore {
 /// phase provably kills (they are unreachable from every root); the
 /// skipping loops elide those positions wholesale and, on the eager backend
 /// only, each capture into a state with no letter transition on the next
-/// byte ([`Stepper::capture_dies`]; never in the final `Capturing(|d|)`).
+/// byte ([`crate::Stepper::capture_dies`]; never in the final `Capturing(|d|)`).
 /// Diagnostic arena sizes (`num_nodes`, `num_cells`) are therefore
 /// comparable only within one mode and backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -246,53 +246,15 @@ pub enum EngineMode {
 ///     let _n = dag.iter().count(); // constant-delay enumeration
 /// }
 /// ```
+///
+/// The same evaluator also decides acceptance (`accepts_*`), through the
+/// same sweep with nothing attached to a state, under the same mode, limits
+/// and embedded caches.
 #[derive(Debug, Clone, Default)]
 pub struct Evaluator {
-    store: DagStore,
-    /// `list_q` for every state (dense, indexed by state id).
-    lists: Vec<ListRef>,
-    /// Phase-start snapshots of `lists` for the active states.
-    old: Vec<ListRef>,
-    /// States with a non-empty list in the current phase.
-    active: SparseSet,
-    /// The active set under construction during a `Reading` phase.
-    next_active: SparseSet,
-    /// Scratch for collecting `(final state, list)` pairs before sorting.
-    root_scratch: Vec<(u32, ListRef)>,
-    /// Reusable per-document byte → alphabet-class buffer (the vectorised
-    /// classification pass of the class-run engine). Retained across `eval`
-    /// calls like the arenas, so steady-state allocation stays zero.
-    class_buf: Vec<u8>,
-    /// The cached mask state of the scanning engine (see
-    /// [`EngineMode::SkipScan`] and `SkipScanner`): the active set's
-    /// intersected skippable-class mask, the live snapshot it was built for,
-    /// and the derived byte-interest table. Retained like the arenas.
-    scanner: SkipScanner,
-    /// Scratch for the clear-and-restart eviction protocol of a lazy
-    /// automaton: the live state ids handed to [`Stepper::maintain`]…
-    maint_ids: Vec<u32>,
-    /// …and the live states' lists, saved across the id remap.
-    maint_lists: Vec<ListRef>,
-    /// The lazy determinization cache of the automaton last evaluated with
-    /// [`Evaluator::eval_lazy`], tagged with the automaton's identity so a
-    /// different lazy automaton gets a fresh cache. Kept inside the evaluator
-    /// because the cache is exactly the same kind of per-worker mutable,
-    /// warm-capacity state as the DAG arenas.
-    lazy: Option<(u64, LazyCache)>,
-    /// The per-worker overflow delta of the [`FrozenCache`] last evaluated
-    /// with [`Evaluator::eval_frozen`], tagged with the *snapshot's* identity
-    /// (delta state ids are relative to one specific freeze).
-    frozen: Option<(u64, FrozenDelta)>,
-    /// Which inner loop drives Algorithm 1.
-    mode: EngineMode,
-    /// Per-document resource limits applied by every run (default: none).
-    limits: EvalLimits,
-    /// The per-run limit enforcement state, restarted by every run.
-    checker: LimitChecker,
-    /// One-off lazy-cache/delta byte-budget override for the next runs
-    /// (graceful-degradation retries, fault injection); `None` uses the
-    /// automaton's configured budget.
-    budget_override: Option<usize>,
+    shell: Shell,
+    dag: Sweep<Dag>,
+    accept: Sweep<()>,
 }
 
 impl Evaluator {
@@ -305,30 +267,32 @@ impl Evaluator {
 
     /// A fresh evaluator driving Algorithm 1 with the given engine.
     pub fn with_mode(mode: EngineMode) -> Evaluator {
-        Evaluator { mode, ..Evaluator::default() }
+        let mut evaluator = Evaluator::new();
+        evaluator.set_mode(mode);
+        evaluator
     }
 
     /// The engine mode this evaluator runs.
     pub fn mode(&self) -> EngineMode {
-        self.mode
+        self.shell.mode
     }
 
-    /// Switches the engine mode for subsequent [`Evaluator::eval`] calls.
+    /// Switches the engine mode for subsequent runs.
     pub fn set_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
+        self.shell.mode = mode;
     }
 
     /// The per-document resource limits applied by every run.
     pub fn limits(&self) -> EvalLimits {
-        self.limits
+        self.shell.limits
     }
 
     /// Sets per-document resource limits for subsequent runs. With limits
     /// configured, use the fallible entry points ([`Evaluator::try_eval`],
-    /// [`Evaluator::try_eval_lazy`], [`Evaluator::try_eval_frozen`]); the
-    /// infallible ones panic if a limit trips.
+    /// [`Evaluator::try_eval_lazy`], [`Evaluator::try_eval_frozen`], and the
+    /// `try_accepts*` family); the infallible ones panic if a limit trips.
     pub fn set_limits(&mut self, limits: EvalLimits) {
-        self.limits = limits;
+        self.shell.limits = limits;
     }
 
     /// Overrides the lazy-cache/frozen-delta byte budget for subsequent runs
@@ -336,12 +300,12 @@ impl Evaluator {
     /// degradation-ladder hook: a document that thrashed the cache can be
     /// retried once under an enlarged budget without recompiling anything.
     pub fn set_cache_budget_override(&mut self, budget: Option<usize>) {
-        self.budget_override = budget;
+        self.shell.budget_override = budget;
     }
 
     /// The active lazy-cache/frozen-delta byte-budget override, if any.
     pub fn cache_budget_override(&self) -> Option<usize> {
-        self.budget_override
+        self.shell.budget_override
     }
 
     /// Runs Algorithm 1 (`Evaluate`) over the document and returns a view of
@@ -351,9 +315,7 @@ impl Evaluator {
     /// `O(live states × |d|)` in the common case where only a few automaton
     /// states carry runs at any position.
     pub fn eval<'a>(&'a mut self, aut: &'a DetSeva, doc: &Document) -> DagView<'a> {
-        let mut stepper: &DetSeva = aut;
-        self.run(&mut stepper, doc, None);
-        DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() }
+        infallible(self.try_eval(aut, doc))
     }
 
     /// [`Evaluator::eval`] under the configured [`EvalLimits`]: a tripped
@@ -364,30 +326,23 @@ impl Evaluator {
         aut: &'a DetSeva,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        let mut stepper: &DetSeva = aut;
-        self.try_run(&mut stepper, doc, None)?;
-        Ok(DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() })
+        self.dag.run(&mut &*aut, doc, &self.shell, None)?;
+        Ok(self.view(aut.registry(), doc))
     }
 
-    /// Whether the eager automaton accepts `doc`, under the configured
-    /// [`EvalLimits`] — the fallible counterpart of [`DetSeva::accepts`],
+    /// Whether the eager automaton accepts `doc`, under the configured mode
+    /// and [`EvalLimits`] — the fallible counterpart of [`DetSeva::accepts`],
     /// placed on the evaluator so limits live in one place for all engines.
     pub fn try_accepts(&mut self, aut: &DetSeva, doc: &Document) -> Result<bool, SpannerError> {
-        let mut stepper: &DetSeva = aut;
-        crate::det::try_accepts_generic(&mut stepper, doc, &self.limits)
+        self.accept.run(&mut &*aut, doc, &self.shell, None)
     }
 
     /// Like [`Evaluator::eval`] but moves the finished DAG out as an owned
     /// [`EnumerationDag`], surrendering the arena capacity (the evaluator's
     /// arenas start empty again). Use when the DAG must outlive the evaluator.
     pub fn eval_owned(&mut self, aut: &DetSeva, doc: &Document) -> EnumerationDag {
-        let mut stepper: &DetSeva = aut;
-        self.run(&mut stepper, doc, None);
-        EnumerationDag {
-            store: std::mem::take(&mut self.store),
-            registry: aut.registry().clone(),
-            doc_len: doc.len(),
-        }
+        infallible(self.try_eval(aut, doc));
+        self.take_dag(aut.registry(), doc)
     }
 
     /// Runs Algorithm 1 over a **lazily determinized** automaton: subset
@@ -398,11 +353,7 @@ impl Evaluator {
     /// same engine modes, same zero-steady-state-allocation contract once
     /// both the arenas and the cache are warm.
     pub fn eval_lazy<'a>(&'a mut self, aut: &'a LazyDetSeva, doc: &Document) -> DagView<'a> {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        self.run(&mut stepper, doc, None);
-        self.lazy = Some((aut.id(), cache));
-        DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() }
+        infallible(self.try_eval_lazy(aut, doc))
     }
 
     /// [`Evaluator::eval_lazy`] under the configured [`EvalLimits`] (see
@@ -413,26 +364,18 @@ impl Evaluator {
         aut: &'a LazyDetSeva,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        let run = self.try_run(&mut stepper, doc, None);
-        self.lazy = Some((aut.id(), cache));
-        run?;
-        Ok(DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() })
+        let dag = &mut self.dag;
+        self.shell.with_lazy(aut, |shell, cache| {
+            dag.run(&mut LazyStepper::new(aut, cache), doc, shell, None)
+        })?;
+        Ok(self.view(aut.registry(), doc))
     }
 
     /// Like [`Evaluator::eval_lazy`] but moving the finished DAG out as an
     /// owned [`EnumerationDag`] (see [`Evaluator::eval_owned`]).
     pub fn eval_lazy_owned(&mut self, aut: &LazyDetSeva, doc: &Document) -> EnumerationDag {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        self.run(&mut stepper, doc, None);
-        self.lazy = Some((aut.id(), cache));
-        EnumerationDag {
-            store: std::mem::take(&mut self.store),
-            registry: aut.registry().clone(),
-            doc_len: doc.len(),
-        }
+        infallible(self.try_eval_lazy(aut, doc));
+        self.take_dag(aut.registry(), doc)
     }
 
     /// Whether the lazily determinized automaton accepts `doc`, using (and
@@ -440,10 +383,7 @@ impl Evaluator {
     /// check: unlike a one-shot `accepts` with a fresh cache, repeated calls
     /// reuse all previously discovered subset states and transition rows.
     pub fn accepts_lazy(&mut self, aut: &LazyDetSeva, doc: &Document) -> bool {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let accepted = aut.accepts(&mut cache, doc);
-        self.lazy = Some((aut.id(), cache));
-        accepted
+        infallible(self.try_accepts_lazy(aut, doc))
     }
 
     /// [`Evaluator::accepts_lazy`] under the configured [`EvalLimits`]: the
@@ -453,20 +393,17 @@ impl Evaluator {
         aut: &LazyDetSeva,
         doc: &Document,
     ) -> Result<bool, SpannerError> {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let accepted = {
-            let mut stepper = LazyStepper::new(aut, &mut cache);
-            crate::det::try_accepts_generic(&mut stepper, doc, &self.limits)
-        };
-        self.lazy = Some((aut.id(), cache));
-        accepted
+        let accept = &mut self.accept;
+        self.shell.with_lazy(aut, |shell, cache| {
+            accept.run(&mut LazyStepper::new(aut, cache), doc, shell, None)
+        })
     }
 
     /// The embedded lazy determinization cache, if a lazy automaton has been
     /// evaluated (diagnostics: subset-state count, eviction count, capacity
     /// signature for allocation-retention assertions).
     pub fn lazy_cache(&self) -> Option<&LazyCache> {
-        self.lazy.as_ref().map(|(_, c)| c)
+        self.shell.lazy_cache()
     }
 
     /// Installs `cache` as the embedded lazy cache for `aut`, replacing
@@ -476,9 +413,8 @@ impl Evaluator {
     /// documents through it here, and freezes the result as the next
     /// generation. A cache bound to a different automaton is reset by the
     /// rebind, exactly as [`LazyCache::bind`] documents.
-    pub fn install_lazy_cache(&mut self, aut: &LazyDetSeva, mut cache: LazyCache) {
-        cache.bind(aut);
-        self.lazy = Some((aut.id(), cache));
+    pub fn install_lazy_cache(&mut self, aut: &LazyDetSeva, cache: LazyCache) {
+        self.shell.install_lazy_cache(aut, cache);
     }
 
     /// Runs Algorithm 1 against a **shared frozen snapshot** of a lazy
@@ -496,11 +432,7 @@ impl Evaluator {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> DagView<'a> {
-        let mut delta = self.prepare_frozen_delta(aut, frozen);
-        let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-        self.run(&mut stepper, doc, None);
-        self.frozen = Some((frozen.id(), delta));
-        DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() }
+        infallible(self.try_eval_frozen(aut, frozen, doc))
     }
 
     /// [`Evaluator::eval_frozen`] under the configured [`EvalLimits`] (see
@@ -512,12 +444,11 @@ impl Evaluator {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        let mut delta = self.prepare_frozen_delta(aut, frozen);
-        let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-        let run = self.try_run(&mut stepper, doc, None);
-        self.frozen = Some((frozen.id(), delta));
-        run?;
-        Ok(DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() })
+        let dag = &mut self.dag;
+        self.shell.with_frozen(aut, frozen, |shell, delta| {
+            dag.run(&mut FrozenStepper::new(aut, frozen, delta), doc, shell, None)
+        })?;
+        Ok(self.view(aut.registry(), doc))
     }
 
     /// Whether the automaton accepts `doc`, stepping through the shared
@@ -529,13 +460,7 @@ impl Evaluator {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> bool {
-        let mut delta = self.prepare_frozen_delta(aut, frozen);
-        let accepted = {
-            let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-            crate::det::accepts_generic(&mut stepper, doc)
-        };
-        self.frozen = Some((frozen.id(), delta));
-        accepted
+        infallible(self.try_accepts_frozen(aut, frozen, doc))
     }
 
     /// [`Evaluator::accepts_frozen`] under the configured [`EvalLimits`].
@@ -545,20 +470,17 @@ impl Evaluator {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<bool, SpannerError> {
-        let mut delta = self.prepare_frozen_delta(aut, frozen);
-        let accepted = {
-            let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-            crate::det::try_accepts_generic(&mut stepper, doc, &self.limits)
-        };
-        self.frozen = Some((frozen.id(), delta));
-        accepted
+        let accept = &mut self.accept;
+        self.shell.with_frozen(aut, frozen, |shell, delta| {
+            accept.run(&mut FrozenStepper::new(aut, frozen, delta), doc, shell, None)
+        })
     }
 
     /// The embedded frozen-overflow delta, if a frozen snapshot has been
     /// evaluated (diagnostics: overflow-state count, eviction count, capacity
     /// signature).
     pub fn frozen_delta(&self) -> Option<&FrozenDelta> {
-        self.frozen.as_ref().map(|(_, d)| d)
+        self.shell.frozen_delta()
     }
 
     /// Bytes currently held by this evaluator's **governed** memory: the
@@ -567,9 +489,7 @@ impl Evaluator {
     /// (The enumeration node store is per-document working memory, not
     /// governed.)
     pub fn governed_bytes(&self) -> usize {
-        let lazy = self.lazy.as_ref().map_or(0, |(_, c)| c.memory_bytes());
-        let frozen = self.frozen.as_ref().map_or(0, |(_, d)| d.memory_bytes());
-        lazy + frozen
+        self.shell.governed_bytes()
     }
 
     /// Sheds this evaluator's governed memory for the global governor
@@ -580,427 +500,121 @@ impl Evaluator {
     /// re-interns overflow states on demand, and results are unchanged
     /// (byte-identical) because both caches are pure memoization.
     pub fn shed_cold_memory(&mut self) -> usize {
-        let mut freed = 0;
-        if let Some((_, cache)) = self.lazy.take() {
-            freed += cache.memory_bytes();
-        }
-        if let Some((_, delta)) = self.frozen.as_mut() {
-            freed += delta.shed();
-        }
-        freed
-    }
-
-    /// Takes the embedded cache out for an evaluation of `aut`, replacing it
-    /// with a fresh one if it belonged to a different lazy automaton.
-    fn take_lazy_cache(&mut self, aut: &LazyDetSeva) -> LazyCache {
-        match self.lazy.take() {
-            Some((id, cache)) if id == aut.id() => cache,
-            _ => aut.create_cache(),
-        }
-    }
-
-    /// Takes the embedded delta out for an evaluation against `frozen`,
-    /// replacing it with a fresh one if it belonged to a different snapshot.
-    fn take_frozen_delta(&mut self, frozen: &FrozenCache) -> FrozenDelta {
-        match self.frozen.take() {
-            Some((id, delta)) if id == frozen.id() => delta,
-            _ => FrozenDelta::new(),
-        }
-    }
-
-    /// Takes the embedded cache out, bound to `aut` with the effective byte
-    /// budget (the automaton's configured budget, or the evaluator's one-off
-    /// override). Binding first makes the budget deterministic per run: a
-    /// previous run's override never leaks into an un-overridden run.
-    fn prepare_lazy_cache(&mut self, aut: &LazyDetSeva) -> LazyCache {
-        let mut cache = self.take_lazy_cache(aut);
-        cache.bind(aut);
-        cache.set_budget(self.budget_override.unwrap_or(aut.config().memory_budget));
-        cache
-    }
-
-    /// Takes the embedded delta out, bound to `frozen` with the effective
-    /// byte budget (see [`Evaluator::prepare_lazy_cache`]).
-    fn prepare_frozen_delta(&mut self, aut: &LazyDetSeva, frozen: &FrozenCache) -> FrozenDelta {
-        let mut delta = self.take_frozen_delta(frozen);
-        delta.bind(frozen, aut);
-        delta.set_budget(self.budget_override.unwrap_or(aut.config().memory_budget));
-        delta
+        self.shell.shed_cold_memory()
     }
 
     /// Current capacity of the node arena (diagnostics: a warmed-up evaluator
     /// keeps its capacity across documents instead of reallocating).
     pub fn node_capacity(&self) -> usize {
-        self.store.nodes.capacity()
+        self.dag.payload.store.nodes.capacity()
     }
 
     /// Current capacity of the cell arena: the node arena (a node is its own cell).
     pub fn cell_capacity(&self) -> usize {
-        self.store.nodes.capacity()
+        self.dag.payload.store.nodes.capacity()
     }
 
     /// Current capacity of the byte-class buffer (diagnostics: like the
     /// arenas, it is retained across documents in steady state).
     pub fn class_buf_capacity(&self) -> usize {
-        self.class_buf.capacity()
+        self.dag.class_buf_capacity()
     }
 
-    /// Infallible shim over [`Evaluator::try_run`] for the legacy entry
-    /// points: with no [`EvalLimits`] configured (the default) nothing can
-    /// trip; with limits configured, a tripped limit panics here — callers
-    /// that set limits must use the `try_*` entry points.
-    fn run<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-        trace: Option<&mut Vec<StageTrace>>,
-    ) {
-        if let Err(e) = self.try_run(aut, doc, trace) {
-            panic!("evaluation limit tripped on an infallible entry point (use try_eval*): {e}");
-        }
+    /// A view of the DAG the last run built.
+    fn view<'a>(&'a self, registry: &'a VarRegistry, doc: &Document) -> DagView<'a> {
+        DagView { store: &self.dag.payload.store, registry, doc_len: doc.len() }
     }
 
-    /// The core of Algorithm 1, shared by every public entry point and
-    /// generic over the eager/lazy [`Stepper`] seam.
-    ///
-    /// Traced runs always use the per-byte loop: a [`StageTrace`] records the
-    /// list state after *every* `Capturing`/`Reading` phase, which requires
-    /// per-position granularity the run-skipping loop deliberately elides.
-    ///
-    /// Fails only when a configured [`EvalLimits`] trips; on failure the
-    /// partially built DAG is abandoned (the next run resets all state, so
-    /// the evaluator remains reusable).
-    fn try_run<S: Stepper>(
+    /// Moves the DAG the last run built out, with its arena capacity.
+    fn take_dag(&mut self, registry: &VarRegistry, doc: &Document) -> EnumerationDag {
+        let store = std::mem::take(&mut self.dag.payload.store);
+        EnumerationDag { store, registry: registry.clone(), doc_len: doc.len() }
+    }
+}
+
+/// Algorithm 1's payload: each live state carries the list of DAG nodes its
+/// runs end in; `add` prepends a fresh node (its own list cell) and `append`
+/// splices in O(1).
+#[derive(Debug, Clone, Default)]
+struct Dag {
+    store: DagStore,
+    /// Scratch for sorting `(final state, list)` pairs into the roots.
+    root_scratch: Vec<(usize, ListRef)>,
+}
+
+impl Payload for Dag {
+    type Val = ListRef;
+    type Out = ();
+
+    fn empty() -> ListRef {
+        ListRef::EMPTY
+    }
+
+    /// Empties the arena and pushes the sink ⊥ (node 0; only its cell, `next`,
+    /// is ever read): `list_{q0} = [⊥]`.
+    fn start(&mut self) -> ListRef {
+        let nodes = &mut self.store.nodes;
+        nodes.clear();
+        nodes.push(Node { markers: MarkerSet::new(), pos: 0, list: ListRef::EMPTY, next: NIL });
+        ListRef { head: BOTTOM, tail: BOTTOM }
+    }
+
+    #[inline]
+    fn add(
         &mut self,
-        aut: &mut S,
-        doc: &Document,
-        trace: Option<&mut Vec<StageTrace>>,
+        list: &mut ListRef,
+        fresh: bool,
+        markers: MarkerSet,
+        pos: usize,
+        src: &ListRef,
     ) -> Result<(), SpannerError> {
-        self.checker = LimitChecker::start(&self.limits);
-        let n_states = aut.state_bound();
-        // Reset retained storage without releasing capacity. A lazy stepper
-        // may discover states past `n_states` mid-document; `ensure_state`
-        // grows the per-state storage on demand.
-        self.store.nodes.clear();
-        self.store.roots.clear();
-        self.lists.clear();
-        self.lists.resize(n_states, ListRef::EMPTY);
-        self.old.clear();
-        self.old.resize(n_states, ListRef::EMPTY);
-        self.active.reset(n_states);
-        self.next_active.reset(n_states);
-
-        // Node 0 is the sink ⊥; only its cell (`next`) is ever read.
-        let sink = Node { markers: MarkerSet::new(), pos: 0, list: ListRef::EMPTY, next: NIL };
-        self.store.nodes.push(sink);
-        // list_q for every state q: initially empty except list_{q0} = [⊥].
-        let init = aut.start_state();
-        self.ensure_state(init);
-        self.lists[init] = ListRef { head: BOTTOM, tail: BOTTOM };
-        self.active.insert(init);
-
-        if self.mode == EngineMode::PerByte || trace.is_some() {
-            self.run_per_byte(aut, doc, trace)?;
-        } else if self.mode == EngineMode::ClassRuns {
-            self.run_class_runs(aut, doc)?;
+        let id = next_arena_id(self.store.nodes.len());
+        // The node is the fresh cell, prepended.
+        let next = if fresh {
+            *list = ListRef { head: id, tail: id };
+            NIL
         } else {
-            self.run_skip_scan(aut, doc)?;
-        }
+            std::mem::replace(&mut list.head, id)
+        };
+        self.store.nodes.push(Node { markers, pos: pos as u32, list: *src, next });
+        Ok(())
+    }
 
-        // Roots: the (non-empty) lists of the final states, in state order so
-        // enumeration order is independent of active-set insertion order.
-        self.root_scratch.clear();
-        for idx in 0..self.active.len() {
-            let q = self.active.get(idx);
-            if aut.is_final(q) {
-                self.root_scratch.push((q as u32, self.lists[q]));
-            }
+    #[inline]
+    fn append(
+        &mut self,
+        list: &mut ListRef,
+        fresh: bool,
+        src: &ListRef,
+    ) -> Result<(), SpannerError> {
+        if fresh {
+            *list = *src;
+        } else {
+            let tail = &mut self.store.nodes[list.tail as usize].next;
+            debug_assert_eq!(*tail, NIL, "append target must end in null");
+            *tail = src.head;
+            list.tail = src.tail;
         }
+        Ok(())
+    }
+
+    /// Roots: the lists of the live final states, in state order so
+    /// enumeration order is independent of active-set insertion order.
+    fn finish<'v>(
+        &mut self,
+        finals: impl Iterator<Item = (usize, &'v ListRef)>,
+    ) -> Result<(), SpannerError> {
+        self.root_scratch.clear();
+        self.root_scratch.extend(finals.map(|(q, l)| (q, *l)));
         self.root_scratch.sort_unstable_by_key(|&(q, _)| q);
+        self.store.roots.clear();
         self.store.roots.extend(self.root_scratch.iter().map(|&(_, l)| l));
         Ok(())
     }
 
-    /// The classic byte-at-a-time sparse loop (kept verbatim as the reference
-    /// engine and as the per-position backend of traced runs).
-    ///
-    /// Loop invariant: `active` holds exactly the states whose list is
-    /// non-empty, and `lists[q]` is EMPTY for every inactive q.
-    fn run_per_byte<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-        mut trace: Option<&mut Vec<StageTrace>>,
-    ) -> Result<(), SpannerError> {
-        let bytes = doc.bytes();
-        for i in 0..=bytes.len() {
-            self.checker.tick()?;
-            self.maintenance_point(aut)?;
-            self.capture_phase(aut, i, None);
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(StageTrace::capture(i, &self.store, &self.lists));
-            }
-            if i == bytes.len() {
-                break;
-            }
-            let cls = aut.byte_class(bytes[i]);
-            self.read_phase(aut, cls);
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(StageTrace::read(i, &self.store, &self.lists));
-            }
-        }
-        Ok(())
-    }
-
-    /// The run-skipping loop: classify the whole document into alphabet
-    /// classes in one vectorised pass, then walk maximal class runs. Whenever
-    /// every live state is [`DetSeva::run_skippable`] on the run's class, the
-    /// remainder of the run is consumed in one step — the per-byte walk would
-    /// leave every list, the active set, and all reachable DAG structure
-    /// bitwise unchanged over those positions (see `run_skippable` for the
-    /// proof obligations), so nothing needs to be executed. Positions that
-    /// fail the test fall back to the per-byte phases, one byte at a time,
-    /// re-testing after each byte (capture transitions mid-run can both
-    /// create and destroy skippability).
-    fn run_class_runs<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-    ) -> Result<(), SpannerError> {
-        let mut class_buf = std::mem::take(&mut self.class_buf);
-        aut.classify_document(doc, &mut class_buf);
-        let result = self.run_class_runs_inner(aut, doc, &class_buf);
-        self.class_buf = class_buf;
-        result
-    }
-
-    /// Body of [`Evaluator::run_class_runs`], split out so the class buffer
-    /// is restored on the error path too.
-    fn run_class_runs_inner<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-        class_buf: &[u8],
-    ) -> Result<(), SpannerError> {
-        for run in ClassRuns::new(class_buf) {
-            let cls = run.class as usize;
-            let end = run.start + run.len;
-            let mut i = run.start;
-            while i < end {
-                self.maintenance_point(aut)?;
-                if self.active.as_slice().iter().all(|&q| aut.run_skippable(q as usize, cls)) {
-                    // The rest of the run is a no-op for every live state
-                    // (vacuously so once the active set is empty). Skipped
-                    // positions cost no step fuel; one clock check covers
-                    // the whole consumed run.
-                    self.checker.tick_jump()?;
-                    break;
-                }
-                self.checker.tick()?;
-                self.capture_phase(aut, i, Some(cls));
-                self.read_phase(aut, cls);
-                i += 1;
-            }
-        }
-        self.maintenance_point(aut)?;
-        self.capture_phase(aut, doc.len(), None);
-        Ok(())
-    }
-
-    /// The skip-mask scanning loop ([`EngineMode::SkipScan`]): instead of
-    /// materializing class runs and testing each one, maintain the active
-    /// set's skippable classes as one intersected [`ClassMask`] and jump
-    /// straight to the next *interesting* byte.
-    ///
-    /// Per executed position this costs what the class-run loop costs (one
-    /// predicate test per live state, then the `Capturing`/`Reading`
-    /// phases); per *skippable* stretch it costs a chunked LUT scan —
-    /// `find_next_interesting` — regardless of how many class runs the
-    /// stretch spans. The mask is rebuilt only when the active set changes.
-    /// The byte-level interest table is rebuilt only when a skip under a new
-    /// mask outlasts a one-chunk probe, so the short skips between churning
-    /// active sets of dense regions test the mask directly instead
-    /// ([`SkipScanner::next_interesting`]).
-    ///
-    /// Skip decisions are identical to the class-run engine's: a byte is
-    /// skipped either because its class is in the mask — which, by the
-    /// [`Stepper::skip_mask`] contract, means every live state has a
-    /// *memoized* skippable entry for it — or because the same
-    /// all-live-states [`Stepper::run_skippable`] test the class-run loop
-    /// performs just succeeded. Lazily determinized automata therefore
-    /// intern subset states in exactly the same order under both engines.
-    fn run_skip_scan<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-    ) -> Result<(), SpannerError> {
-        let bytes = doc.bytes();
-        self.scanner.reset();
-        let mut i = 0usize;
-        while i < bytes.len() {
-            if aut.wants_maintenance() {
-                // Eviction rewrites state ids and forgets memoized skip
-                // entries: every cached view is stale. (The re-interned live
-                // states are the same subsets under new ids, so a stale mask
-                // would still under-approximate — but dropping it keeps the
-                // reasoning local.)
-                self.maintenance_point(aut)?;
-                self.scanner.reset();
-            }
-            let cls = aut.byte_class(bytes[i]);
-            if self.scanner.should_skip(aut, self.active.as_slice(), cls) {
-                // Skipped stretches cost no step fuel; the scan that finds
-                // the next interesting byte amortizes one clock check.
-                self.checker.tick_jump()?;
-                match self.scanner.next_interesting(aut.partition(), bytes, i + 1) {
-                    Some(j) => i = j,
-                    None => break,
-                }
-                continue;
-            }
-            self.checker.tick()?;
-            self.capture_phase(aut, i, Some(cls));
-            self.read_phase(aut, cls);
-            self.scanner.executed();
-            i += 1;
-            if self.active.is_empty() {
-                // No live runs, no future output: the rest of the document
-                // is vacuously skippable.
-                break;
-            }
-        }
-        self.maintenance_point(aut)?;
-        self.capture_phase(aut, doc.len(), None);
-        Ok(())
-    }
-
-    /// Grows the per-state storage (lists, snapshots, active sets) to cover
-    /// state id `q` — a no-op for eager automata, whose state space is fixed,
-    /// and an amortized bump when a lazy automaton interns fresh subsets.
-    #[inline]
-    fn ensure_state(&mut self, q: usize) {
-        if q >= self.lists.len() {
-            let n = q + 1;
-            self.lists.resize(n, ListRef::EMPTY);
-            self.old.resize(n, ListRef::EMPTY);
-            self.active.grow(n);
-            self.next_active.grow(n);
-        }
-    }
-
-    /// Once-per-position cache-budget hook: when a lazy stepper reports it is
-    /// over budget, hand it the live state ids, let it clear-and-restart, and
-    /// remap the evaluator's per-state structures onto the rewritten ids.
-    /// Free for eager automata (`wants_maintenance` is a constant `false`).
-    /// Each performed eviction feeds the thrash guard, whose verdict is
-    /// returned only after the remap completes — the evaluator's invariants
-    /// hold even on the error path.
-    #[inline]
-    fn maintenance_point<S: Stepper>(&mut self, aut: &mut S) -> Result<(), SpannerError> {
-        if !aut.wants_maintenance() {
-            return Ok(());
-        }
-        // Save the live lists in active order and clear the old slots before
-        // any new id is written (old and new id ranges overlap).
-        let mut ids = std::mem::take(&mut self.maint_ids);
-        let mut saved = std::mem::take(&mut self.maint_lists);
-        ids.clear();
-        ids.extend_from_slice(self.active.as_slice());
-        saved.clear();
-        for &q in &ids {
-            saved.push(self.lists[q as usize]);
-            self.lists[q as usize] = ListRef::EMPTY;
-        }
-        let mut verdict = Ok(());
-        if aut.maintain(&mut ids) {
-            verdict = self.checker.note_clear();
-            self.active.clear();
-            for (k, &q) in ids.iter().enumerate() {
-                let q = q as usize;
-                self.ensure_state(q);
-                self.active.insert(q);
-                self.lists[q] = saved[k];
-            }
-        } else {
-            // No eviction after all: restore the slots untouched.
-            for (k, &q) in ids.iter().enumerate() {
-                self.lists[q as usize] = saved[k];
-            }
-        }
-        self.maint_ids = ids;
-        self.maint_lists = saved;
-        verdict
-    }
-
-    /// `Capturing(i)`: the extended variable transitions taken immediately
-    /// before letter `i`. Lazycopies the lists of the phase-start active
-    /// states (the paper's lazy copy of every list; inactive lists are EMPTY).
-    /// With `next_cls`, the class of letter `i`, captures the next `Reading`
-    /// phase would wipe are not made ([`Stepper::capture_dies`]).
-    #[inline]
-    fn capture_phase<S: Stepper>(&mut self, aut: &mut S, i: usize, next_cls: Option<usize>) {
-        let live = self.active.len();
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            self.old[q] = self.lists[q];
-        }
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            if !aut.has_markers(q) {
-                continue;
-            }
-            let src = self.old[q];
-            // Indexed, so `capture_dies` can read `aut` between transitions.
-            let mut k = 0;
-            while let Some(&(markers, p)) = aut.markers_from(q).get(k) {
-                k += 1;
-                if next_cls.is_some_and(|cls| aut.capture_dies(p, cls)) {
-                    continue;
-                }
-                self.ensure_state(p);
-                let id = next_arena_id(self.store.nodes.len());
-                // list_p.add(node): the node is the fresh cell, prepended.
-                let next = if self.active.insert(p) {
-                    // p had an empty list: start it.
-                    self.lists[p] = ListRef { head: id, tail: id };
-                    NIL
-                } else {
-                    std::mem::replace(&mut self.lists[p].head, id)
-                };
-                self.store.nodes.push(Node { markers, pos: i as u32, list: src, next });
-            }
-        }
-    }
-
-    /// `Reading(i)`: the letter transition on the byte whose alphabet class
-    /// is `cls`.
-    #[inline]
-    fn read_phase<S: Stepper>(&mut self, aut: &mut S, cls: usize) {
-        let live = self.active.len();
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            self.old[q] = self.lists[q];
-            self.lists[q] = ListRef::EMPTY;
-        }
-        self.next_active.clear();
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            if let Some(p) = aut.step_class(q, cls) {
-                self.ensure_state(p);
-                let src = self.old[q];
-                // list_p.append(list_old_q)
-                if self.next_active.insert(p) {
-                    self.lists[p] = src;
-                } else {
-                    let cur = &mut self.lists[p];
-                    let tail = &mut self.store.nodes[cur.tail as usize].next;
-                    debug_assert_eq!(*tail, NIL, "append target must end in null");
-                    *tail = src.head;
-                    cur.tail = src.tail;
-                }
-            }
-        }
-        std::mem::swap(&mut self.active, &mut self.next_active);
+    /// Counts a list's cells by walking it (traced runs only).
+    fn cells(&self, list: &ListRef) -> usize {
+        self.store.list_cells(*list).count()
     }
 }
 
@@ -1097,14 +711,8 @@ impl EnumerationDag {
     pub fn build_with_trace(aut: &DetSeva, doc: &Document) -> (EnumerationDag, Vec<StageTrace>) {
         let mut traces = Vec::new();
         let mut evaluator = Evaluator::new();
-        let mut stepper: &DetSeva = aut;
-        evaluator.run(&mut stepper, doc, Some(&mut traces));
-        let dag = EnumerationDag {
-            store: std::mem::take(&mut evaluator.store),
-            registry: aut.registry().clone(),
-            doc_len: doc.len(),
-        };
-        (dag, traces)
+        infallible(evaluator.dag.run(&mut &*aut, doc, &evaluator.shell, Some(&mut traces)));
+        (evaluator.take_dag(aut.registry(), doc), traces)
     }
 
     /// The variable registry of the automaton that produced this DAG.
@@ -1207,24 +815,6 @@ pub enum Stage {
     Reading,
 }
 
-impl StageTrace {
-    fn capture(pos: usize, store: &DagStore, lists: &[ListRef]) -> StageTrace {
-        StageTrace { stage: Stage::Capturing, pos, nonempty: Self::snapshot(store, lists) }
-    }
-    fn read(pos: usize, store: &DagStore, lists: &[ListRef]) -> StageTrace {
-        StageTrace { stage: Stage::Reading, pos, nonempty: Self::snapshot(store, lists) }
-    }
-    /// Counts each list's cells by walking it (traced runs only).
-    fn snapshot(store: &DagStore, lists: &[ListRef]) -> Vec<(usize, usize)> {
-        lists
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.is_empty())
-            .map(|(q, l)| (q, store.list_cells(*l).count()))
-            .collect()
-    }
-}
-
 /// A frame of the depth-first traversal of Algorithm 2.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -1321,6 +911,7 @@ impl Iterator for MappingIter<'_> {
 mod tests {
     use super::*;
     use crate::byteclass::ByteClass;
+    use crate::det::Stepper;
     use crate::eva::{Eva, EvaBuilder};
     use crate::mapping::dedup_mappings;
     use crate::variable::VarRegistry;

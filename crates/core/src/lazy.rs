@@ -61,7 +61,7 @@
 //! the zero-allocation contract of the warm engines is preserved.
 
 use crate::byteclass::{AlphabetPartition, ClassMask};
-use crate::det::{accepts_generic, Stepper};
+use crate::det::Stepper;
 use crate::document::Document;
 use crate::error::SpannerError;
 use crate::eva::{Eva, StateId};
@@ -349,8 +349,7 @@ impl LazyDetSeva {
     /// Whether the document is accepted (i.e. `⟦A⟧(d)` is non-empty), using
     /// (and lazily extending) `cache`. Linear time, bounded memory.
     pub fn accepts(&self, cache: &mut LazyCache, doc: &Document) -> bool {
-        let mut stepper = LazyStepper::new(self, cache);
-        accepts_generic(&mut stepper, doc)
+        crate::sweep::accepts(&mut LazyStepper::new(self, cache), doc)
     }
 
     /// NFA letter targets of `q` on alphabet class `cls`.
@@ -2081,7 +2080,7 @@ mod tests {
             let doc = Document::from(text);
             let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
             assert_eq!(
-                accepts_generic(&mut stepper, &doc),
+                crate::sweep::accepts(&mut stepper, &doc),
                 !eva.eval_naive(&doc).is_empty(),
                 "frozen acceptance mismatch on {text:?}"
             );
@@ -2126,7 +2125,7 @@ mod tests {
         // Drive one document so the per-document reset of FrozenStepper::new
         // does not wipe the evidence we are about to merge.
         let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
-        let _ = accepts_generic(&mut stepper, &Document::from("abcxyz"));
+        let _ = crate::sweep::accepts(&mut stepper, &Document::from("abcxyz"));
         assert!(
             delta.num_overflow_states() > 0 || !delta.letter_overrides.is_empty(),
             "test premise: the delta must hold evidence to merge"
@@ -2145,7 +2144,7 @@ mod tests {
             let doc = Document::from(*text);
             let mut stepper = FrozenStepper::new(&lazy, &gen2, &mut d2);
             assert_eq!(
-                accepts_generic(&mut stepper, &doc),
+                crate::sweep::accepts(&mut stepper, &doc),
                 !eva.eval_naive(&doc).is_empty(),
                 "gen2 acceptance mismatch on {text:?}"
             );
@@ -2154,7 +2153,7 @@ mod tests {
         // creates no overflow states in a fresh delta.
         let mut d3 = gen2.create_delta(&lazy);
         let mut stepper = FrozenStepper::new(&lazy, &gen2, &mut d3);
-        let _ = accepts_generic(&mut stepper, &Document::from("abcxyz"));
+        let _ = crate::sweep::accepts(&mut stepper, &Document::from("abcxyz"));
         assert_eq!(d3.num_overflow_states(), 0, "merged generation must absorb the delta");
     }
 
@@ -2177,7 +2176,7 @@ mod tests {
         let mut delta = FrozenDelta::new();
         let doc = Document::from("agz");
         let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
-        assert!(accepts_generic(&mut stepper, &doc));
+        assert!(crate::sweep::accepts(&mut stepper, &doc));
         assert!(delta.num_overflow_states() > 0, "all states must live in the delta");
     }
 
@@ -2190,7 +2189,7 @@ mod tests {
         let doc = Document::from("agzagz");
         for round in 0..3 {
             let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
-            assert!(accepts_generic(&mut stepper, &doc), "round {round}");
+            assert!(crate::sweep::accepts(&mut stepper, &doc), "round {round}");
         }
         // Three identical documents: the per-document reset makes the third
         // run intern exactly what the first did, with warm capacity.
@@ -2198,7 +2197,7 @@ mod tests {
         let per_doc = delta.states_interned() / 3;
         assert_eq!(delta.states_interned(), per_doc * 3, "interning is not per-document stable");
         let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
-        assert!(accepts_generic(&mut stepper, &doc));
+        assert!(crate::sweep::accepts(&mut stepper, &doc));
         assert_eq!(delta.capacity_signature(), sig, "warm delta reallocated");
     }
 
@@ -2210,10 +2209,10 @@ mod tests {
         let mut delta = FrozenDelta::new();
         let doc = Document::from("agzagzagz");
         let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
-        assert!(accepts_generic(&mut stepper, &doc));
+        assert!(crate::sweep::accepts(&mut stepper, &doc));
         assert!(delta.clear_count() > 0, "a 1-byte budget must force delta evictions");
         let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
-        assert!(!accepts_generic(&mut stepper, &Document::from("!!!")));
+        assert!(!crate::sweep::accepts(&mut stepper, &Document::from("!!!")));
     }
 
     #[test]
@@ -2359,7 +2358,7 @@ mod tests {
             let doc = Document::from(text);
             let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
             assert_eq!(
-                accepts_generic(&mut stepper, &doc),
+                crate::sweep::accepts(&mut stepper, &doc),
                 !eva.eval_naive(&doc).is_empty(),
                 "post-eviction frozen acceptance mismatch on {text:?}"
             );

@@ -48,6 +48,7 @@ pub mod slp;
 pub mod span;
 pub mod spanner;
 pub mod sparse;
+mod sweep;
 pub mod variable;
 
 pub use byteclass::{

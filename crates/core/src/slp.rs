@@ -47,6 +47,7 @@ use crate::lazy::{
     LazyDetSeva, LazyStepper,
 };
 use crate::limits::{EvalLimits, LimitChecker};
+use crate::sweep::Shell;
 
 /// Symbols below this bound are terminals (the byte itself); symbol
 /// `FIRST_NONTERMINAL + k` names rule `k`.
@@ -1072,17 +1073,15 @@ fn merge_sorted_counts_saturating(row: &mut Vec<(u32, u64)>) {
 #[derive(Debug, Default)]
 pub struct SlpEvaluator {
     ws: Workspace,
-    /// Embedded lazy cache, tagged with the automaton id it belongs to.
-    lazy: Option<(u64, LazyCache)>,
-    /// Embedded frozen-overflow delta, tagged with the snapshot id.
-    frozen: Option<(u64, FrozenDelta)>,
+    /// Limits, cache-budget override, and the embedded lazy cache and
+    /// frozen-overflow delta (the byte engines' per-worker shell; grammar
+    /// composition has no byte loop, so its engine mode is unused).
+    shell: Shell,
     /// Per-frozen-run generation: delta-local state ids die with the
     /// per-document delta reset, so each frozen run gets a fresh epoch.
     frozen_gen: u64,
-    limits: EvalLimits,
     memo_budget: usize,
     memo_budget_override: Option<usize>,
-    cache_budget_override: Option<usize>,
 }
 
 impl SlpEvaluator {
@@ -1094,7 +1093,7 @@ impl SlpEvaluator {
     /// Sets the per-document evaluation limits (steps, deadlines, thrash
     /// guard) applied by subsequent runs.
     pub fn set_limits(&mut self, limits: EvalLimits) {
-        self.limits = limits;
+        self.shell.limits = limits;
     }
 
     /// Overrides the byte budget of the embedded determinization cache /
@@ -1102,7 +1101,7 @@ impl SlpEvaluator {
     /// the degradation-ladder hook, mirroring
     /// [`crate::CountCache::set_cache_budget_override`].
     pub fn set_cache_budget_override(&mut self, budget: Option<usize>) {
-        self.cache_budget_override = budget;
+        self.shell.budget_override = budget;
     }
 
     /// Sets the byte budget of the memo tables (rows are cleared and
@@ -1147,9 +1146,7 @@ impl SlpEvaluator {
 
     /// Total bytes held: memo tables plus the embedded cache or delta.
     pub fn memory_bytes(&self) -> usize {
-        self.ws.memo.bytes
-            + self.lazy.as_ref().map_or(0, |(_, c)| c.memory_bytes())
-            + self.frozen.as_ref().map_or(0, |(_, d)| d.memory_bytes())
+        self.ws.memo.bytes + self.shell.governed_bytes()
     }
 
     /// Capacity snapshot for allocation-retention assertions: the embedded
@@ -1158,9 +1155,9 @@ impl SlpEvaluator {
     /// last two — the E10b diagnostics see SLP memory through the same lens
     /// as the determinization caches.
     pub fn capacity_signature(&self) -> CapacitySignature {
-        let mut sig = match (&self.lazy, &self.frozen) {
-            (Some((_, cache)), _) => cache.capacity_signature(),
-            (None, Some((_, delta))) => delta.capacity_signature(),
+        let mut sig = match (self.shell.lazy_cache(), self.shell.frozen_delta()) {
+            (Some(cache), _) => cache.capacity_signature(),
+            (None, Some(delta)) => delta.capacity_signature(),
             (None, None) => CapacitySignature([0; 10]),
         };
         sig.0[8] = self.ws.memo.count_arena.capacity();
@@ -1182,14 +1179,7 @@ impl SlpEvaluator {
     /// delta. The memo tables are untouched — they are severity 2, see
     /// [`SlpEvaluator::shed_memos`]. Returns the bytes freed.
     pub fn shed_cold_memory(&mut self) -> usize {
-        let mut freed = 0;
-        if let Some((_, cache)) = self.lazy.take() {
-            freed += cache.memory_bytes();
-        }
-        if let Some((_, delta)) = self.frozen.as_mut() {
-            freed += delta.shed();
-        }
-        freed
+        self.shell.shed_cold_memory()
     }
 
     /// Sheds the SLP memo tables for the global governor (severity 2 of the
@@ -1208,13 +1198,13 @@ impl SlpEvaluator {
     /// a lazy automaton (the freeze source of
     /// [`crate::CompiledSpanner::freeze_warm_slp`]).
     pub fn lazy_cache(&self) -> Option<&LazyCache> {
-        self.lazy.as_ref().map(|(_, c)| c)
+        self.shell.lazy_cache()
     }
 
     /// The embedded frozen-overflow delta, if the evaluator has stepped
     /// through a frozen snapshot.
     pub fn frozen_delta(&self) -> Option<&FrozenDelta> {
-        self.frozen.as_ref().map(|(_, d)| d)
+        self.shell.frozen_delta()
     }
 
     /// Snapshots the current memo into an immutable [`SlpSharedMemo`].
@@ -1234,18 +1224,16 @@ impl SlpEvaluator {
     /// bottom-up pass.
     pub fn count(&mut self, det: &DetSeva, slp: &Slp) -> Result<u64, SpannerError> {
         let budget = self.memo_budget();
-        self.ws.begin(&self.limits, det.id(), 0, budget);
-        let mut st: &DetSeva = det;
-        self.ws.count_run(&mut st, slp, None)
+        self.ws.begin(&self.shell.limits, det.id(), 0, budget);
+        self.ws.count_run(&mut &*det, slp, None)
     }
 
     /// Whether the spanner produces at least one mapping on the compressed
     /// document (eager automaton).
     pub fn accepts(&mut self, det: &DetSeva, slp: &Slp) -> Result<bool, SpannerError> {
         let budget = self.memo_budget();
-        self.ws.begin(&self.limits, det.id(), 0, budget);
-        let mut st: &DetSeva = det;
-        self.ws.accepts_run(&mut st, slp, None)
+        self.ws.begin(&self.shell.limits, det.id(), 0, budget);
+        self.ws.accepts_run(&mut &*det, slp, None)
     }
 
     /// [`SlpEvaluator::count`] against a live lazy automaton, determinizing
@@ -1253,34 +1241,22 @@ impl SlpEvaluator {
     /// Rows are keyed to the cache's eviction epoch: evictions move state
     /// ids, so they drop the memo alongside the evicted states.
     pub fn count_lazy(&mut self, aut: &LazyDetSeva, slp: &Slp) -> Result<u64, SpannerError> {
-        let mut cache = match self.lazy.take() {
-            Some((id, cache)) if id == aut.id() => cache,
-            _ => aut.create_cache(),
-        };
-        cache.bind(aut);
-        cache.set_budget(self.cache_budget_override.unwrap_or(aut.config().memory_budget));
         let budget = self.memo_budget();
-        self.ws.begin(&self.limits, aut.id(), cache.clear_count(), budget);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        let result = self.ws.count_run(&mut stepper, slp, None);
-        self.lazy = Some((aut.id(), cache));
-        result
+        let ws = &mut self.ws;
+        self.shell.with_lazy(aut, |shell, cache| {
+            ws.begin(&shell.limits, aut.id(), cache.clear_count(), budget);
+            ws.count_run(&mut LazyStepper::new(aut, cache), slp, None)
+        })
     }
 
     /// [`SlpEvaluator::accepts`] against a live lazy automaton.
     pub fn accepts_lazy(&mut self, aut: &LazyDetSeva, slp: &Slp) -> Result<bool, SpannerError> {
-        let mut cache = match self.lazy.take() {
-            Some((id, cache)) if id == aut.id() => cache,
-            _ => aut.create_cache(),
-        };
-        cache.bind(aut);
-        cache.set_budget(self.cache_budget_override.unwrap_or(aut.config().memory_budget));
         let budget = self.memo_budget();
-        self.ws.begin(&self.limits, aut.id(), cache.clear_count(), budget);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        let result = self.ws.accepts_run(&mut stepper, slp, None);
-        self.lazy = Some((aut.id(), cache));
-        result
+        let ws = &mut self.ws;
+        self.shell.with_lazy(aut, |shell, cache| {
+            ws.begin(&shell.limits, aut.id(), cache.clear_count(), budget);
+            ws.accepts_run(&mut LazyStepper::new(aut, cache), slp, None)
+        })
     }
 
     /// [`SlpEvaluator::count`] stepping through a shared [`FrozenCache`]
@@ -1296,20 +1272,14 @@ impl SlpEvaluator {
         frozen: &FrozenCache,
         slp: &Slp,
     ) -> Result<u64, SpannerError> {
-        let mut delta = match self.frozen.take() {
-            Some((id, delta)) if id == frozen.id() => delta,
-            _ => FrozenDelta::new(),
-        };
-        delta.bind(frozen, aut);
-        delta.set_budget(self.cache_budget_override.unwrap_or(aut.config().memory_budget));
         self.frozen_gen += 1;
-        let budget = self.memo_budget();
-        self.ws.begin(&self.limits, frozen.id(), self.frozen_gen, budget);
-        let shared = frozen.slp_memo().map(|m| &m.tables);
-        let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-        let result = self.ws.count_run(&mut stepper, slp, shared);
-        self.frozen = Some((frozen.id(), delta));
-        result
+        let (epoch, budget) = (self.frozen_gen, self.memo_budget());
+        let ws = &mut self.ws;
+        self.shell.with_frozen(aut, frozen, |shell, delta| {
+            ws.begin(&shell.limits, frozen.id(), epoch, budget);
+            let shared = frozen.slp_memo().map(|m| &m.tables);
+            ws.count_run(&mut FrozenStepper::new(aut, frozen, delta), slp, shared)
+        })
     }
 
     /// [`SlpEvaluator::accepts`] through a shared frozen snapshot.
@@ -1319,20 +1289,14 @@ impl SlpEvaluator {
         frozen: &FrozenCache,
         slp: &Slp,
     ) -> Result<bool, SpannerError> {
-        let mut delta = match self.frozen.take() {
-            Some((id, delta)) if id == frozen.id() => delta,
-            _ => FrozenDelta::new(),
-        };
-        delta.bind(frozen, aut);
-        delta.set_budget(self.cache_budget_override.unwrap_or(aut.config().memory_budget));
         self.frozen_gen += 1;
-        let budget = self.memo_budget();
-        self.ws.begin(&self.limits, frozen.id(), self.frozen_gen, budget);
-        let shared = frozen.slp_memo().map(|m| &m.tables);
-        let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-        let result = self.ws.accepts_run(&mut stepper, slp, shared);
-        self.frozen = Some((frozen.id(), delta));
-        result
+        let (epoch, budget) = (self.frozen_gen, self.memo_budget());
+        let ws = &mut self.ws;
+        self.shell.with_frozen(aut, frozen, |shell, delta| {
+            ws.begin(&shell.limits, frozen.id(), epoch, budget);
+            let shared = frozen.slp_memo().map(|m| &m.tables);
+            ws.accepts_run(&mut FrozenStepper::new(aut, frozen, delta), slp, shared)
+        })
     }
 }
 

@@ -712,7 +712,7 @@ impl BatchPlan<'_> {
 ///
 /// These are the one-shot forms: each call builds transient engine pools and
 /// (for lazy spanners) a transient frozen snapshot warmed on the leading
-/// [`WARM_SAMPLE_DOCS`] documents. A long-lived service should hold a
+/// four documents. A long-lived service should hold a
 /// [`crate::SpannerServer`] instead, which amortizes both across calls.
 pub trait BatchSpanner {
     /// Evaluates every document, mapping each resulting DAG view through `f`

@@ -24,7 +24,72 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
+/// An engine a [`Pool`] hands out, one per worker at a time.
+pub trait PoolEngine: Send {
+    /// A fresh engine running `mode` (grammar composition has no byte loop,
+    /// so [`SlpEvaluator`] has no mode to take).
+    fn create(mode: EngineMode) -> Self;
+    /// Bytes of memory a global [`spanners_core::MemoryGovernor`] ledgers
+    /// (see [`Evaluator::governed_bytes`]).
+    fn governed_bytes(&self) -> usize;
+    /// Sheds the recoverable part of that memory; returns the bytes freed
+    /// (see [`Evaluator::shed_cold_memory`]).
+    fn shed_cold_memory(&mut self) -> usize;
+}
+
+impl PoolEngine for Evaluator {
+    fn create(mode: EngineMode) -> Self {
+        Evaluator::with_mode(mode)
+    }
+    fn governed_bytes(&self) -> usize {
+        Evaluator::governed_bytes(self)
+    }
+    fn shed_cold_memory(&mut self) -> usize {
+        Evaluator::shed_cold_memory(self)
+    }
+}
+
+impl<C: Counter + Send> PoolEngine for CountCache<C> {
+    fn create(mode: EngineMode) -> Self {
+        CountCache::with_mode(mode)
+    }
+    fn governed_bytes(&self) -> usize {
+        CountCache::governed_bytes(self)
+    }
+    fn shed_cold_memory(&mut self) -> usize {
+        CountCache::shed_cold_memory(self)
+    }
+}
+
+impl PoolEngine for SlpEvaluator {
+    fn create(_: EngineMode) -> Self {
+        SlpEvaluator::new()
+    }
+    fn governed_bytes(&self) -> usize {
+        SlpEvaluator::governed_bytes(self)
+    }
+    fn shed_cold_memory(&mut self) -> usize {
+        SlpEvaluator::shed_cold_memory(self)
+    }
+}
+
 /// A pool of warm [`Evaluator`]s (Algorithm 1 engines).
+pub type EvaluatorPool = Pool<Evaluator>;
+/// A pool of warm [`CountCache`]s (Algorithm 3 engines).
+pub type CountCachePool<C> = Pool<CountCache<C>>;
+/// A pool of warm [`SlpEvaluator`]s (grammar-aware engines). Checked-in
+/// evaluators keep their `(symbol, state)` memo tables alongside their lazy
+/// caches and frozen deltas, so a batch over one shared rule set composes
+/// most documents from already-memoized rows.
+pub type SlpEvaluatorPool = Pool<SlpEvaluator>;
+/// Checkout guard of an [`EvaluatorPool`].
+pub type PooledEvaluator<'p> = Pooled<'p, Evaluator>;
+/// Checkout guard of a [`CountCachePool`].
+pub type PooledCountCache<'p, C> = Pooled<'p, CountCache<C>>;
+/// Checkout guard of an [`SlpEvaluatorPool`].
+pub type PooledSlpEvaluator<'p> = Pooled<'p, SlpEvaluator>;
+
+/// A pool of warm per-worker engines.
 ///
 /// ```
 /// use spanners_runtime::EvaluatorPool;
@@ -38,40 +103,70 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// let _again = pool.checkout(); // the same warm engine, not a new one
 /// assert_eq!(pool.engines_created(), 1);
 /// ```
-#[derive(Debug, Default)]
-pub struct EvaluatorPool {
+#[derive(Debug)]
+pub struct Pool<E: PoolEngine> {
     /// Idle engines, each tagged with the serving generation it last ran
     /// under (`0` for untagged batch work). Tag-aware checkouts prefer an
     /// engine of their own generation — its [`spanners_core::FrozenDelta`]
     /// is already bound to that generation's snapshot, so no rebind-reset.
-    idle: Mutex<Vec<(u64, Evaluator)>>,
+    idle: Mutex<Vec<(u64, E)>>,
     mode: EngineMode,
     created: AtomicUsize,
     quarantined: AtomicUsize,
 }
 
-impl EvaluatorPool {
+impl<E: PoolEngine> Default for Pool<E> {
+    fn default() -> Self {
+        Pool {
+            idle: Mutex::new(Vec::new()),
+            mode: EngineMode::default(),
+            created: AtomicUsize::new(0),
+            quarantined: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl Pool<Evaluator> {
+    /// An empty pool whose engines run the given mode.
+    pub fn with_mode(mode: EngineMode) -> Self {
+        Pool { mode, ..Pool::default() }
+    }
+}
+
+impl<C: Counter + Send> Pool<CountCache<C>> {
+    /// An empty pool whose caches run the given mode.
+    pub fn with_mode(mode: EngineMode) -> Self {
+        Pool { mode, ..Pool::default() }
+    }
+}
+
+impl Pool<SlpEvaluator> {
+    /// Sheds every idle evaluator's SLP memo tables (severity 2 of the
+    /// global shedding ladder; see [`SlpEvaluator::shed_memos`]); returns
+    /// how many freed bytes.
+    pub fn shed_memos(&self) -> u64 {
+        let mut idle = lock(&self.idle);
+        idle.iter_mut().map(|(_, e)| e.shed_memos()).filter(|&freed| freed > 0).count() as u64
+    }
+}
+
+impl<E: PoolEngine> Pool<E> {
     /// An empty pool handing out engines in the default
     /// [`EngineMode::SkipScan`].
-    pub fn new() -> EvaluatorPool {
-        EvaluatorPool::default()
-    }
-
-    /// An empty pool whose engines run the given mode.
-    pub fn with_mode(mode: EngineMode) -> EvaluatorPool {
-        EvaluatorPool { mode, ..EvaluatorPool::default() }
+    pub fn new() -> Self {
+        Pool::default()
     }
 
     /// Checks an engine out: a warm one when available, a fresh one
     /// otherwise. The returned guard checks it back in on drop.
-    pub fn checkout(&self) -> PooledEvaluator<'_> {
+    pub fn checkout(&self) -> Pooled<'_, E> {
         self.checkout_tagged(0)
     }
 
     /// Checks an engine out preferring one last used under generation `tag`
     /// (falling back to any warm engine, then to a fresh one). The guard
     /// remembers the tag and checks the engine back in under it.
-    pub fn checkout_tagged(&self, tag: u64) -> PooledEvaluator<'_> {
+    pub fn checkout_tagged(&self, tag: u64) -> Pooled<'_, E> {
         crate::faults::checkout_fault();
         let engine = {
             let mut idle = lock(&self.idle);
@@ -82,9 +177,9 @@ impl EvaluatorPool {
         };
         let engine = engine.unwrap_or_else(|| {
             self.created.fetch_add(1, Ordering::Relaxed);
-            Evaluator::with_mode(self.mode)
+            E::create(self.mode)
         });
-        PooledEvaluator { pool: self, engine: Some(engine), tag }
+        Pooled { pool: self, engine: Some(engine), tag }
     }
 
     /// Number of engines currently checked in.
@@ -98,53 +193,54 @@ impl EvaluatorPool {
         self.created.load(Ordering::Relaxed)
     }
 
-    /// Total engines quarantined (see [`PooledEvaluator::quarantine`]) — each
-    /// was dropped instead of checked back in, and a fresh replacement was
+    /// Total engines quarantined (see [`Pooled::quarantine`]) — each was
+    /// dropped instead of checked back in, and a fresh replacement was
     /// checked in pre-emptively in its place.
     pub fn quarantined(&self) -> usize {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Governed bytes held by the idle engines (lazy caches plus frozen
-    /// deltas) — what this pool settles into a global
-    /// [`spanners_core::MemoryGovernor`]. Checked-out engines are counted at
-    /// the next settle point, after their batch checks them back in.
+    /// Governed bytes held by the idle engines (lazy caches, frozen deltas
+    /// and, for SLP evaluators, memo tables) — what this pool settles into a
+    /// global [`spanners_core::MemoryGovernor`]. Checked-out engines are
+    /// counted at the next settle point, after their batch checks them back
+    /// in.
     pub fn governed_bytes(&self) -> usize {
         lock(&self.idle).iter().map(|(_, e)| e.governed_bytes()).sum()
     }
 
-    /// Sheds every idle engine's governed memory (severity 1 of the global
-    /// shedding ladder; see [`Evaluator::shed_cold_memory`]). Returns the
-    /// number of engines that actually freed bytes.
+    /// Sheds every idle engine's recoverable governed memory (severity 1 of
+    /// the global shedding ladder; see [`Evaluator::shed_cold_memory`]).
+    /// Returns the number of engines that actually freed bytes.
     pub fn shed_cold(&self) -> u64 {
         let mut idle = lock(&self.idle);
         idle.iter_mut().map(|(_, e)| e.shed_cold_memory()).filter(|&freed| freed > 0).count() as u64
     }
 }
 
-/// Checkout guard of an [`EvaluatorPool`]; derefs to the [`Evaluator`] and
-/// returns it (capacity retained) on drop.
+/// Checkout guard of a [`Pool`]; derefs to the engine and returns it
+/// (capacity retained) on drop.
 #[derive(Debug)]
-pub struct PooledEvaluator<'p> {
-    pool: &'p EvaluatorPool,
-    engine: Option<Evaluator>,
+pub struct Pooled<'p, E: PoolEngine> {
+    pool: &'p Pool<E>,
+    engine: Option<E>,
     tag: u64,
 }
 
-impl Deref for PooledEvaluator<'_> {
-    type Target = Evaluator;
-    fn deref(&self) -> &Evaluator {
+impl<E: PoolEngine> Deref for Pooled<'_, E> {
+    type Target = E;
+    fn deref(&self) -> &E {
         self.engine.as_ref().expect("engine present until drop")
     }
 }
 
-impl DerefMut for PooledEvaluator<'_> {
-    fn deref_mut(&mut self) -> &mut Evaluator {
+impl<E: PoolEngine> DerefMut for Pooled<'_, E> {
+    fn deref_mut(&mut self) -> &mut E {
         self.engine.as_mut().expect("engine present until drop")
     }
 }
 
-impl PooledEvaluator<'_> {
+impl<E: PoolEngine> Pooled<'_, E> {
     /// Consumes the guard **without** checking the engine back in: the
     /// engine is dropped and the pool's quarantine counter bumped. Used by
     /// panic containment — an engine whose evaluation unwound mid-document
@@ -157,265 +253,12 @@ impl PooledEvaluator<'_> {
         if self.engine.take().is_some() {
             self.pool.quarantined.fetch_add(1, Ordering::Relaxed);
             self.pool.created.fetch_add(1, Ordering::Relaxed);
-            lock(&self.pool.idle).push((self.tag, Evaluator::with_mode(self.pool.mode)));
+            lock(&self.pool.idle).push((self.tag, E::create(self.pool.mode)));
         }
     }
 }
 
-impl Drop for PooledEvaluator<'_> {
-    fn drop(&mut self) {
-        if let Some(engine) = self.engine.take() {
-            lock(&self.pool.idle).push((self.tag, engine));
-        }
-    }
-}
-
-/// A pool of warm [`CountCache`]s (Algorithm 3 engines) — the counting
-/// mirror of [`EvaluatorPool`].
-#[derive(Debug)]
-pub struct CountCachePool<C: Counter> {
-    idle: Mutex<Vec<(u64, CountCache<C>)>>,
-    mode: EngineMode,
-    created: AtomicUsize,
-    quarantined: AtomicUsize,
-}
-
-impl<C: Counter> Default for CountCachePool<C> {
-    fn default() -> Self {
-        CountCachePool {
-            idle: Mutex::new(Vec::new()),
-            mode: EngineMode::default(),
-            created: AtomicUsize::new(0),
-            quarantined: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl<C: Counter> CountCachePool<C> {
-    /// An empty pool handing out caches in the default
-    /// [`EngineMode::SkipScan`].
-    pub fn new() -> CountCachePool<C> {
-        CountCachePool::default()
-    }
-
-    /// An empty pool whose caches run the given mode.
-    pub fn with_mode(mode: EngineMode) -> CountCachePool<C> {
-        CountCachePool { mode, ..CountCachePool::default() }
-    }
-
-    /// Checks a cache out: a warm one when available, a fresh one otherwise.
-    /// The returned guard checks it back in on drop.
-    pub fn checkout(&self) -> PooledCountCache<'_, C> {
-        self.checkout_tagged(0)
-    }
-
-    /// Checks a cache out preferring one last used under generation `tag`
-    /// (see [`EvaluatorPool::checkout_tagged`]).
-    pub fn checkout_tagged(&self, tag: u64) -> PooledCountCache<'_, C> {
-        crate::faults::checkout_fault();
-        let engine = {
-            let mut idle = lock(&self.idle);
-            match idle.iter().rposition(|&(t, _)| t == tag) {
-                Some(i) => Some(idle.swap_remove(i).1),
-                None => idle.pop().map(|(_, e)| e),
-            }
-        };
-        let engine = engine.unwrap_or_else(|| {
-            self.created.fetch_add(1, Ordering::Relaxed);
-            CountCache::with_mode(self.mode)
-        });
-        PooledCountCache { pool: self, engine: Some(engine), tag }
-    }
-
-    /// Number of caches currently checked in.
-    pub fn idle(&self) -> usize {
-        lock(&self.idle).len()
-    }
-
-    /// Total caches ever created (see [`EvaluatorPool::engines_created`]).
-    pub fn engines_created(&self) -> usize {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Total caches quarantined (see [`EvaluatorPool::quarantined`]).
-    pub fn quarantined(&self) -> usize {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Governed bytes held by the idle caches (see
-    /// [`EvaluatorPool::governed_bytes`]).
-    pub fn governed_bytes(&self) -> usize {
-        lock(&self.idle).iter().map(|(_, e)| e.governed_bytes()).sum()
-    }
-
-    /// Sheds every idle cache's governed memory (see
-    /// [`EvaluatorPool::shed_cold`]); returns how many freed bytes.
-    pub fn shed_cold(&self) -> u64 {
-        let mut idle = lock(&self.idle);
-        idle.iter_mut().map(|(_, e)| e.shed_cold_memory()).filter(|&freed| freed > 0).count() as u64
-    }
-}
-
-/// Checkout guard of a [`CountCachePool`]; derefs to the [`CountCache`] and
-/// returns it (capacity retained) on drop.
-#[derive(Debug)]
-pub struct PooledCountCache<'p, C: Counter> {
-    pool: &'p CountCachePool<C>,
-    engine: Option<CountCache<C>>,
-    tag: u64,
-}
-
-impl<C: Counter> Deref for PooledCountCache<'_, C> {
-    type Target = CountCache<C>;
-    fn deref(&self) -> &CountCache<C> {
-        self.engine.as_ref().expect("engine present until drop")
-    }
-}
-
-impl<C: Counter> DerefMut for PooledCountCache<'_, C> {
-    fn deref_mut(&mut self) -> &mut CountCache<C> {
-        self.engine.as_mut().expect("engine present until drop")
-    }
-}
-
-impl<C: Counter> PooledCountCache<'_, C> {
-    /// Consumes the guard **without** checking the cache back in, checking a
-    /// fresh replacement in pre-emptively (see
-    /// [`PooledEvaluator::quarantine`]).
-    pub fn quarantine(mut self) {
-        if self.engine.take().is_some() {
-            self.pool.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.pool.created.fetch_add(1, Ordering::Relaxed);
-            lock(&self.pool.idle).push((self.tag, CountCache::with_mode(self.pool.mode)));
-        }
-    }
-}
-
-impl<C: Counter> Drop for PooledCountCache<'_, C> {
-    fn drop(&mut self) {
-        if let Some(engine) = self.engine.take() {
-            lock(&self.pool.idle).push((self.tag, engine));
-        }
-    }
-}
-
-/// A pool of warm [`SlpEvaluator`]s (grammar-aware engines) — the
-/// compressed-corpus mirror of [`CountCachePool`]. Checked-in evaluators
-/// keep their `(symbol, state)` memo tables alongside their lazy caches and
-/// frozen deltas, so a batch over one shared rule set composes most
-/// documents from already-memoized rows.
-#[derive(Debug, Default)]
-pub struct SlpEvaluatorPool {
-    idle: Mutex<Vec<(u64, SlpEvaluator)>>,
-    created: AtomicUsize,
-    quarantined: AtomicUsize,
-}
-
-impl SlpEvaluatorPool {
-    /// An empty pool. Grammar composition has no per-byte inner loop, so
-    /// there is no engine-mode knob to configure.
-    pub fn new() -> SlpEvaluatorPool {
-        SlpEvaluatorPool::default()
-    }
-
-    /// Checks an evaluator out: a warm one when available, a fresh one
-    /// otherwise. The returned guard checks it back in on drop.
-    pub fn checkout(&self) -> PooledSlpEvaluator<'_> {
-        self.checkout_tagged(0)
-    }
-
-    /// Checks an evaluator out preferring one last used under generation
-    /// `tag` (see [`EvaluatorPool::checkout_tagged`]).
-    pub fn checkout_tagged(&self, tag: u64) -> PooledSlpEvaluator<'_> {
-        crate::faults::checkout_fault();
-        let engine = {
-            let mut idle = lock(&self.idle);
-            match idle.iter().rposition(|&(t, _)| t == tag) {
-                Some(i) => Some(idle.swap_remove(i).1),
-                None => idle.pop().map(|(_, e)| e),
-            }
-        };
-        let engine = engine.unwrap_or_else(|| {
-            self.created.fetch_add(1, Ordering::Relaxed);
-            SlpEvaluator::new()
-        });
-        PooledSlpEvaluator { pool: self, engine: Some(engine), tag }
-    }
-
-    /// Number of evaluators currently checked in.
-    pub fn idle(&self) -> usize {
-        lock(&self.idle).len()
-    }
-
-    /// Total evaluators ever created (see
-    /// [`EvaluatorPool::engines_created`]).
-    pub fn engines_created(&self) -> usize {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Total evaluators quarantined (see [`EvaluatorPool::quarantined`]).
-    pub fn quarantined(&self) -> usize {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Governed bytes held by the idle evaluators — memo tables, lazy
-    /// caches and frozen deltas (see [`EvaluatorPool::governed_bytes`]).
-    pub fn governed_bytes(&self) -> usize {
-        lock(&self.idle).iter().map(|(_, e)| e.governed_bytes()).sum()
-    }
-
-    /// Sheds every idle evaluator's determinization-side memory (severity 1;
-    /// see [`EvaluatorPool::shed_cold`]); returns how many freed bytes.
-    pub fn shed_cold(&self) -> u64 {
-        let mut idle = lock(&self.idle);
-        idle.iter_mut().map(|(_, e)| e.shed_cold_memory()).filter(|&freed| freed > 0).count() as u64
-    }
-
-    /// Sheds every idle evaluator's SLP memo tables (severity 2 of the
-    /// global shedding ladder; see [`SlpEvaluator::shed_memos`]); returns
-    /// how many freed bytes.
-    pub fn shed_memos(&self) -> u64 {
-        let mut idle = lock(&self.idle);
-        idle.iter_mut().map(|(_, e)| e.shed_memos()).filter(|&freed| freed > 0).count() as u64
-    }
-}
-
-/// Checkout guard of an [`SlpEvaluatorPool`]; derefs to the [`SlpEvaluator`]
-/// and returns it (capacity retained) on drop.
-#[derive(Debug)]
-pub struct PooledSlpEvaluator<'p> {
-    pool: &'p SlpEvaluatorPool,
-    engine: Option<SlpEvaluator>,
-    tag: u64,
-}
-
-impl Deref for PooledSlpEvaluator<'_> {
-    type Target = SlpEvaluator;
-    fn deref(&self) -> &SlpEvaluator {
-        self.engine.as_ref().expect("engine present until drop")
-    }
-}
-
-impl DerefMut for PooledSlpEvaluator<'_> {
-    fn deref_mut(&mut self) -> &mut SlpEvaluator {
-        self.engine.as_mut().expect("engine present until drop")
-    }
-}
-
-impl PooledSlpEvaluator<'_> {
-    /// Consumes the guard **without** checking the evaluator back in,
-    /// checking a fresh replacement in pre-emptively (see
-    /// [`PooledEvaluator::quarantine`]).
-    pub fn quarantine(mut self) {
-        if self.engine.take().is_some() {
-            self.pool.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.pool.created.fetch_add(1, Ordering::Relaxed);
-            lock(&self.pool.idle).push((self.tag, SlpEvaluator::new()));
-        }
-    }
-}
-
-impl Drop for PooledSlpEvaluator<'_> {
+impl<E: PoolEngine> Drop for Pooled<'_, E> {
     fn drop(&mut self) {
         if let Some(engine) = self.engine.take() {
             lock(&self.pool.idle).push((self.tag, engine));

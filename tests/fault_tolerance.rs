@@ -23,7 +23,8 @@ use std::time::Duration;
 use spanners::runtime::{BatchOptions, BatchSpanner};
 use spanners::workloads as w;
 use spanners::{
-    CompiledSpanner, DegradePolicy, Document, EvalLimits, LazyConfig, Mapping, SpannerError,
+    CompiledSpanner, DegradePolicy, Document, EvalLimits, Evaluator, LazyConfig, Mapping,
+    SpannerError,
 };
 
 /// Worker counts every scenario runs at: sequential fallback, modest
@@ -246,6 +247,28 @@ fn count_report_mirrors_evaluate_report_isolation() {
     // The legacy API still aborts at the lowest-index failure.
     let err = spanner.count_batch::<u64>(&docs, &opts).unwrap_err();
     assert!(matches!(err, SpannerError::StepBudgetExceeded { limit: 50 }), "{err}");
+    // Evaluation and acceptance run the same sweep as counting, so they
+    // burn the same step fuel: they fail on exactly the same documents.
+    let mut evaluator = Evaluator::new();
+    evaluator.set_limits(EvalLimits::none().with_max_steps(50));
+    for (i, doc) in docs.iter().enumerate() {
+        let paths = spanner.try_evaluate_with(&mut evaluator, doc).map(|dag| dag.count_paths());
+        let matched = spanner.try_is_match_with(&mut evaluator, doc);
+        match &report.results[i] {
+            Err(SpannerError::StepBudgetExceeded { limit: 50 }) => {
+                let tripped = |r: &Result<_, _>| {
+                    matches!(r, Err(SpannerError::StepBudgetExceeded { limit: 50 }))
+                };
+                assert!(tripped(&paths.map(|_| ())), "evaluate of doc {i}");
+                assert!(tripped(&matched.map(|_| ())), "is_match of doc {i}");
+            }
+            Ok(count) => {
+                assert_eq!(paths.ok(), Some(*count as u128), "evaluate of doc {i}");
+                assert_eq!(matched.ok(), Some(*count > 0), "is_match of doc {i}");
+            }
+            Err(e) => panic!("count of doc {i} failed unexpectedly: {e}"),
+        }
+    }
 }
 
 #[test]

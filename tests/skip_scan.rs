@@ -126,10 +126,15 @@ fn contact_lazy() -> LazyDetSeva {
 
 /// Asserts that the three modes' results for one document agree exactly:
 /// mappings in order, counts, and the arena cells of the two skipping
-/// engines, which must skip exactly the same positions.
-fn assert_dense_row(runs: [(Vec<Mapping>, usize, u128); 3], ctx: &str) {
-    let [(scan, scan_cells, scan_count), (class, class_cells, class_count), (bytes, _, bytes_count)] =
-        runs;
+/// engines, which must skip exactly the same positions. Each mode's
+/// acceptance verdict must equal `count > 0`.
+fn assert_dense_row(runs: [(Vec<Mapping>, usize, u128, bool); 3], ctx: &str) {
+    for (m, (_, _, count, accepted)) in runs.iter().enumerate() {
+        assert_eq!(*accepted, *count > 0, "acceptance vs count, mode {m}, {ctx}");
+    }
+    let [scan, class, bytes] = runs;
+    let [(scan, scan_cells, scan_count, _), (class, class_cells, class_count, _)] = [scan, class];
+    let (bytes, _, bytes_count, _) = bytes;
     assert_eq!(scan, class, "mappings/order SkipScan vs ClassRuns, {ctx}");
     assert_eq!(scan, bytes, "mappings/order SkipScan vs PerByte, {ctx}");
     assert_eq!(scan_cells, class_cells, "num_cells SkipScan vs ClassRuns, {ctx}");
@@ -172,6 +177,11 @@ fn assert_eager_modes_identical(spanner: &CompiledSpanner, doc: &Document, ctx: 
     assert_eq!(n_scan, n_runs, "counts vs class-runs, {ctx}");
     assert_eq!(n_scan, n_bytes, "counts vs per-byte, {ctx}");
     assert_eq!(n_scan, paths, "count vs path count, {ctx}");
+    for mut evaluator in [scan, runs, bytes] {
+        let mode = evaluator.mode();
+        let accepted = evaluator.try_accepts(aut, doc).expect("no limits configured");
+        assert_eq!(accepted, n_scan > 0, "acceptance vs count under {mode:?}, {ctx}");
+    }
 }
 
 /// The digit-runs workload as an undeterminized eVA for the lazy engine
@@ -247,8 +257,9 @@ fn dense_regime_is_identical_across_modes_and_backends() {
     for (i, doc) in docs.iter().enumerate() {
         let row = [0, 1, 2].map(|m| {
             let view = evals[m].eval(aut, doc);
-            let cells = view.num_cells();
-            (view.collect_mappings(), cells, counts[m].count(aut, doc).unwrap())
+            let (mappings, cells) = (view.collect_mappings(), view.num_cells());
+            let accepted = evals[m].try_accepts(aut, doc).unwrap();
+            (mappings, cells, counts[m].count(aut, doc).unwrap(), accepted)
         });
         assert_dense_row(row, &format!("eager, dense doc {i}"));
     }
@@ -267,8 +278,9 @@ fn dense_regime_is_identical_across_modes_and_backends() {
     for (i, doc) in docs.iter().enumerate() {
         let row = [0, 1, 2].map(|m| {
             let view = evals[m].eval_lazy(&lazy, doc);
-            let cells = view.num_cells();
-            (view.collect_mappings(), cells, counts[m].count_lazy(&lazy, doc).unwrap())
+            let (mappings, cells) = (view.collect_mappings(), view.num_cells());
+            let accepted = evals[m].accepts_lazy(&lazy, doc);
+            (mappings, cells, counts[m].count_lazy(&lazy, doc).unwrap(), accepted)
         });
         assert_dense_row(row, &format!("warm lazy, dense doc {i}"));
     }
@@ -283,8 +295,9 @@ fn dense_regime_is_identical_across_modes_and_backends() {
     for (i, doc) in docs.iter().enumerate() {
         let row = [0, 1, 2].map(|m| {
             let view = evals[m].eval_frozen(lazy, &frozen, doc);
-            let cells = view.num_cells();
-            (view.collect_mappings(), cells, counts[m].count_frozen(lazy, &frozen, doc).unwrap())
+            let (mappings, cells) = (view.collect_mappings(), view.num_cells());
+            let accepted = evals[m].accepts_frozen(lazy, &frozen, doc);
+            (mappings, cells, counts[m].count_frozen(lazy, &frozen, doc).unwrap(), accepted)
         });
         assert_dense_row(row, &format!("frozen, dense doc {i}"));
     }
